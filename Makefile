@@ -27,13 +27,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/api/ | $(GO) run ./cmd/benchjson > BENCH_baseline.json
 	@echo wrote BENCH_baseline.json
 
-# Byte-identical experiment output with observability enabled vs disabled,
-# across pool widths, and across shard counts: the determinism guarantees,
-# checkable locally before CI.
+# Byte-identical experiment output with observability enabled vs disabled
+# and across pool widths: the determinism guarantees, checkable locally
+# before CI.
 determinism:
-	$(GO) test ./internal/experiments/ -run 'TestTracingDeterminism|TestTracedExportsStable|TestShardsDeterministic' -count=1
-	$(GO) test ./internal/scheduler/ -run 'Shard' -count=1
-	$(GO) test ./cmd/kubeknots/ -run 'TestE2EGolden|TestE2EShardParity' -count=1
+	$(GO) test ./internal/experiments/ -run 'TestTracingDeterminism|TestTracedExportsStable' -count=1
+	$(GO) test ./cmd/kubeknots/ -run 'TestE2EGolden' -count=1
 	$(GO) test ./cmd/knotsctl/ -run 'TestTrace' -count=1
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
 		-spans-out /tmp/kk-spans-p1.jsonl fig9 > /tmp/kk-plain.txt
@@ -42,10 +41,6 @@ determinism:
 		-spans-out /tmp/kk-spans-p8.jsonl fig9 > /tmp/kk-traced.txt
 	diff /tmp/kk-plain.txt /tmp/kk-traced.txt
 	diff /tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl
-	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 -shards 8 \
-		-spans-out /tmp/kk-spans-s8.jsonl fig9 > /tmp/kk-sharded.txt
-	diff /tmp/kk-plain.txt /tmp/kk-sharded.txt
-	diff /tmp/kk-spans-p1.jsonl /tmp/kk-spans-s8.jsonl
 	$(GO) test ./internal/experiments/ -run TestHarvestDisabledByteIdentical -count=1
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
 		-harvest=false -watermark 0.5 -checkpoint-cost 1s fig9 > /tmp/kk-harvest-off.txt
@@ -62,10 +57,10 @@ determinism:
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
 		-state-dir /tmp/kk-state fig9 > /tmp/kk-recovered.txt
 	diff /tmp/kk-plain.txt /tmp/kk-recovered.txt
-	@echo determinism: tables and span JSONL identical with tracing on/off, -parallel 1 vs 8, -shards 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical
+	@echo determinism: tables and span JSONL identical with tracing on/off, -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical
 
 clean:
-	rm -f /tmp/kk-plain.txt /tmp/kk-traced.txt /tmp/kk-sharded.txt /tmp/kk-decisions.jsonl /tmp/kk-timeline.json \
-		/tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl /tmp/kk-spans-s8.jsonl \
+	rm -f /tmp/kk-plain.txt /tmp/kk-traced.txt /tmp/kk-decisions.jsonl /tmp/kk-timeline.json \
+		/tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl \
 		/tmp/kk-fh1.txt /tmp/kk-fh8.txt /tmp/kk-harvest-off.txt /tmp/kk-crash-err.txt /tmp/kk-recovered.txt
 	rm -rf /tmp/kk-state

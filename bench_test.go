@@ -343,11 +343,11 @@ func BenchmarkAggregatorSnapshotDirtyFew(b *testing.B) {
 	}
 }
 
-// benchShardSnapshot builds a 512-GPU snapshot with residents on every
-// third device and a pending queue, the fixture for the sharded-round
-// benchmarks (Schedule never mutates the cluster, so iterations repeat the
-// identical round).
-func benchShardSnapshot(gpus, pods int) (*knots.Snapshot, []*k8s.Pod) {
+// benchRoundSnapshot builds a snapshot of the given fleet size with
+// residents on every third device and a pending queue, the fixture for the
+// round benchmark (Schedule never mutates the cluster, so iterations repeat
+// the identical round).
+func benchRoundSnapshot(gpus, pods int) (*knots.Snapshot, []*k8s.Pod) {
 	cfg := cluster.DefaultConfig()
 	cfg.GPUsPerNode = 8
 	cfg.Nodes = gpus / cfg.GPUsPerNode
@@ -378,19 +378,16 @@ func benchShardSnapshot(gpus, pods int) (*knots.Snapshot, []*k8s.Pod) {
 	return snap, queue
 }
 
-func benchShardedRound(b *testing.B, shards int) {
-	snap, queue := benchShardSnapshot(512, 16)
+// BenchmarkPPScheduleRound512 times one PP round of 16 pods over 512 GPUs.
+func BenchmarkPPScheduleRound512(b *testing.B) {
+	snap, queue := benchRoundSnapshot(512, 16)
 	var p scheduler.PP
-	p.SetShards(shards)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Schedule(snap.At, queue, snap)
 	}
 }
-
-func BenchmarkShardedScheduleRound1(b *testing.B) { benchShardedRound(b, 1) }
-func BenchmarkShardedScheduleRound8(b *testing.B) { benchShardedRound(b, 8) }
 
 func BenchmarkTSDBWindowRead(b *testing.B) {
 	db := tsdb.New(0)

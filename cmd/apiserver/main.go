@@ -15,8 +15,6 @@
 //	curl :8088/debug/vars     # expvar JSON
 //	curl :8088/debug/pprof/   # runtime profiles
 //
-// The pre-/v1 unversioned paths still answer (with a Deprecation header).
-//
 // With -state-dir the control plane is durable: every accepted mutation is
 // journaled to a write-ahead log before it executes, folded into a snapshot
 // every -snapshot-every commands, and replayed on restart — a crash or

@@ -5,7 +5,6 @@
 // nodes:
 //
 //	GET /metrics         Prometheus text exposition (registry + live gauges)
-//	GET /metrics.json    latest five-metric sample (JSON)
 //	GET /window?ms=5000  the trailing window of every metric (JSON)
 //	GET /debug/vars      expvar JSON
 //	GET /debug/pprof/    runtime profiles
@@ -110,22 +109,6 @@ func (d *daemon) step(dt sim.Time) {
 		gPower.With(id).Set(g.Obs.PowerW)
 		gContainers.With(id).Set(float64(g.Obs.Containers))
 	}
-}
-
-func (d *daemon) metricsJSON(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	obs := d.cl.GPUs()[0].Obs
-	now := d.now
-	d.mu.Unlock()
-	writeJSON(w, map[string]any{
-		"sim_time_ms": int64(now),
-		"sm_util":     obs.SMPct,
-		"mem_used_mb": obs.MemUsedMB,
-		"power_w":     obs.PowerW,
-		"tx_mbps":     obs.TxMBps,
-		"rx_mbps":     obs.RxMBps,
-		"containers":  obs.Containers,
-	})
 }
 
 func (d *daemon) window(w http.ResponseWriter, r *http.Request) {
@@ -265,7 +248,6 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.PromHandler(obs.Default()))
-	mux.HandleFunc("/metrics.json", d.metricsJSON)
 	mux.HandleFunc("/window", d.window)
 	debugMux(mux)
 

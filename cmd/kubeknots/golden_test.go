@@ -21,11 +21,11 @@ type e2eRun struct {
 
 // runE2E executes the pinned end-to-end scenario — seed 3, three simulated
 // seconds, fig9 and fig10a with decision-trace and timeline exports —
-// through the real CLI path at the given shard count. Seed 3 is chosen so
-// the pending queue drains within the horizon: a permanently SLO-rejected
-// pod would otherwise be re-traced every 10 ms round and bloat the golden
-// trace from kilobytes to megabytes.
-func runE2E(t *testing.T, shards int) e2eRun {
+// through the real CLI path. Seed 3 is chosen so the pending queue drains
+// within the horizon: a permanently SLO-rejected pod would otherwise be
+// re-traced every 10 ms round and bloat the golden trace from kilobytes to
+// megabytes.
+func runE2E(t *testing.T) e2eRun {
 	t.Helper()
 	tmp := t.TempDir()
 	tracePath := filepath.Join(tmp, "trace.jsonl")
@@ -36,7 +36,6 @@ func runE2E(t *testing.T, shards int) e2eRun {
 		"-parallel", "1",
 		"-seed", "3",
 		"-horizon", "3s",
-		"-shards", fmt.Sprint(shards),
 		"-trace-out", tracePath,
 		"-timeline-out", timelinePath,
 		"-spans-out", spansPath,
@@ -98,7 +97,7 @@ func firstDiff(want, got []byte) string {
 // against the committed golden files. Run with -update to regenerate them
 // after an intentional behaviour change.
 func TestE2EGolden(t *testing.T) {
-	r := runE2E(t, 1)
+	r := runE2E(t)
 	files := goldenFiles(r)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -121,25 +120,5 @@ func TestE2EGolden(t *testing.T) {
 			t.Errorf("%s diverged from golden (%d vs %d bytes)\n%s\nrun with -update if the change is intentional",
 				path, len(got), len(want), firstDiff(want, got))
 		}
-	}
-}
-
-// TestE2EShardParity is the end-to-end face of the sharding invariant:
-// -shards 8 must reproduce the -shards 1 artifacts byte-for-byte — tables,
-// decision traces, and timelines.
-func TestE2EShardParity(t *testing.T) {
-	serial := runE2E(t, 1)
-	sharded := runE2E(t, 8)
-	if !bytes.Equal(serial.tables, sharded.tables) {
-		t.Errorf("tables diverge between -shards 1 and -shards 8\n%s", firstDiff(serial.tables, sharded.tables))
-	}
-	if !bytes.Equal(serial.trace, sharded.trace) {
-		t.Errorf("decision traces diverge between -shards 1 and -shards 8\n%s", firstDiff(serial.trace, sharded.trace))
-	}
-	if !bytes.Equal(serial.timeline, sharded.timeline) {
-		t.Errorf("timelines diverge between -shards 1 and -shards 8\n%s", firstDiff(serial.timeline, sharded.timeline))
-	}
-	if !bytes.Equal(serial.spans, sharded.spans) {
-		t.Errorf("spans diverge between -shards 1 and -shards 8\n%s", firstDiff(serial.spans, sharded.spans))
 	}
 }

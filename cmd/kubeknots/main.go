@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "deterministic seed")
 		seedList = fs.String("seeds", "", "comma-separated seeds for a replication sweep; tables report mean±stddev (overrides -seed)")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for the experiment sweep (1 = serial)")
-		shards   = fs.Int("shards", 1, "node-shard count for the CBP/PP candidate scan (1 = serial scan; output is byte-identical at any value)")
 		stats    = fs.Bool("stats", false, "print per-job wall time and allocation stats to stderr")
 		dlscale  = fs.String("dlscale", "full", "DL simulator scale: full (520 DLT + 1400 DLI on 256 GPUs) or small")
 		tscale   = fs.String("tracescale", "small", "Alibaba-style trace scale for fig2: full (12h, ~24k tasks) or small")
@@ -97,20 +96,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "kubeknots: %v\n", err)
 		return 2
 	}
-	if *shards < 1 {
-		fmt.Fprintf(stderr, "kubeknots: -shards must be >= 1 (got %d)\n", *shards)
-		return 2
-	}
 	switch *format {
 	case "text", "json", "csv":
 	default:
 		fmt.Fprintf(stderr, "kubeknots: unknown -format %q (want text, json, or csv)\n", *format)
 		return 2
 	}
+	if *dlscale != "full" && *dlscale != "small" {
+		fmt.Fprintf(stderr, "kubeknots: unknown -dlscale %q (want full or small)\n", *dlscale)
+		return 2
+	}
+	if *tscale != "full" && *tscale != "small" {
+		fmt.Fprintf(stderr, "kubeknots: unknown -tracescale %q (want full or small)\n", *tscale)
+		return 2
+	}
 
 	base := experiments.DefaultSpec()
 	base.Cluster.Horizon = sim.Time(horizon.Milliseconds())
-	base.Cluster.Shards = *shards
 	if *dlscale == "small" {
 		base.DL = dlsim.Small()
 	} else {

@@ -21,9 +21,11 @@ func TestRunErrorPaths(t *testing.T) {
 		{"bad-parallel", []string{"-parallel", "many", "fig1"}, "invalid value"},
 		{"bad-seeds", []string{"-seeds", "1,x", "fig1"}, `bad seed "x"`},
 		{"empty-seeds", []string{"-seeds", " , ", "fig1"}, "no seeds in"},
-		{"bad-shards", []string{"-shards", "0", "fig1"}, "-shards must be >= 1"},
-		{"negative-shards", []string{"-shards", "-3", "fig1"}, "-shards must be >= 1"},
 		{"bad-format", []string{"-format", "xml", "fig1"}, `unknown -format "xml"`},
+		{"bad-dlscale", []string{"-dlscale", "smal", "fig1"}, `unknown -dlscale "smal"`},
+		{"empty-dlscale", []string{"-dlscale", "", "fig1"}, `unknown -dlscale ""`},
+		{"bad-tracescale", []string{"-tracescale", "ful", "fig1"}, `unknown -tracescale "ful"`},
+		{"empty-tracescale", []string{"-tracescale", "", "fig1"}, `unknown -tracescale ""`},
 		{"unknown-experiment", []string{"fig99"}, `unknown experiment "fig99"`},
 		{"unknown-among-known", []string{"fig1", "nope"}, `unknown experiment "nope"`},
 	}
@@ -56,7 +58,7 @@ func TestRunDispatch(t *testing.T) {
 		{"csv", []string{"-parallel", "1", "-format", "csv", "fig1"}, []string{"util%", ","}},
 		{"multi-experiment", []string{"-parallel", "1", "fig1", "fig4"}, []string{"fig1", "fig4"}},
 		{"multi-seed", []string{"-parallel", "1", "-seeds", "2,3", "fig1"}, []string{"fig1"}},
-		{"shards-accepted", []string{"-parallel", "1", "-shards", "4", "fig1"}, []string{"fig1"}},
+		{"scales-accepted", []string{"-parallel", "1", "-dlscale", "small", "-tracescale", "full", "fig1"}, []string{"fig1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

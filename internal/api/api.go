@@ -16,10 +16,8 @@
 //	GET  /v1/state            persistence (snapshot/WAL) status
 //	POST /v1/advance          {"ms": 60000} — run the simulation forward
 //
-// Every route is also reachable at its legacy unversioned path; those
-// aliases answer identically but add a "Deprecation: true" header and a
-// Link to the /v1 successor. Errors share one envelope,
-// {"error": "...", "code": N}, which api.StatusError round-trips.
+// Errors share one envelope, {"error": "...", "code": N}, which
+// api.StatusError round-trips.
 //
 // Concurrency contract: the simulation is single-threaded, so mutations
 // (POST /pods, POST /advance) serialize on a write lock — but reads never
@@ -201,8 +199,8 @@ func (s *Server) SetHarvest(h *harvest.Controller) {
 	s.mu.Unlock()
 }
 
-// routes is the full surface: every entry is served under /v1 and at its
-// legacy unversioned alias. The label is the metrics path template.
+// routes is the full surface: every entry is served under /v1. The label is
+// the metrics path template.
 func (s *Server) routes() []struct {
 	path, label string
 	h           http.HandlerFunc
@@ -222,25 +220,12 @@ func (s *Server) routes() []struct {
 	}
 }
 
-// deprecated wraps a legacy-alias handler with the RFC 8594-style headers
-// pointing clients at the /v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-		h(w, r)
-	}
-}
-
-// Handler returns the route table: /v1 plus legacy aliases, every route
-// instrumented with the api_* request metrics (versioned and legacy paths
-// count separately).
+// Handler returns the /v1 route table, every route instrumented with the
+// api_* request metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
 		mux.Handle("/v1"+rt.path, instrument("/v1"+rt.label, rt.h))
-		successor := "/v1" + strings.TrimSuffix(rt.path, "/")
-		mux.Handle(rt.path, instrument(rt.label, deprecated(successor, rt.h)))
 	}
 	return mux
 }

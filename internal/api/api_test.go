@@ -60,7 +60,7 @@ func manifest(name string) k8s.Manifest {
 func TestSubmitAdvanceComplete(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	resp := post(t, ts.URL+"/pods", manifest("job-1"))
+	resp := post(t, ts.URL+"/v1/pods", manifest("job-1"))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", resp.StatusCode)
 	}
@@ -70,7 +70,7 @@ func TestSubmitAdvanceComplete(t *testing.T) {
 	}
 
 	// Advance 40 simulated seconds: pathfinder (~19 s) must complete.
-	resp = post(t, ts.URL+"/advance", map[string]int64{"ms": 40000})
+	resp = post(t, ts.URL+"/v1/advance", map[string]int64{"ms": 40000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("advance: HTTP %d", resp.StatusCode)
 	}
@@ -79,7 +79,7 @@ func TestSubmitAdvanceComplete(t *testing.T) {
 		t.Fatalf("advance = %+v", adv)
 	}
 
-	resp, err := http.Get(ts.URL + "/pods/job-1")
+	resp, err := http.Get(ts.URL + "/v1/pods/job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,10 @@ func TestSubmitAdvanceComplete(t *testing.T) {
 func TestListPodsSorted(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, n := range []string{"zeta", "alpha", "mid"} {
-		resp := post(t, ts.URL+"/pods", manifest(n))
+		resp := post(t, ts.URL+"/v1/pods", manifest(n))
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/pods")
+	resp, err := http.Get(ts.URL + "/v1/pods")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,22 +107,22 @@ func TestListPodsSorted(t *testing.T) {
 
 func TestDuplicateAndInvalidManifests(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp := post(t, ts.URL+"/pods", manifest("dup"))
+	resp := post(t, ts.URL+"/v1/pods", manifest("dup"))
 	resp.Body.Close()
-	resp = post(t, ts.URL+"/pods", manifest("dup"))
+	resp = post(t, ts.URL+"/v1/pods", manifest("dup"))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate: HTTP %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	bad := k8s.Manifest{Name: "x", Workload: k8s.WorkloadRef{Kind: "rodinia", Name: "nope"}}
-	resp = post(t, ts.URL+"/pods", bad)
+	resp = post(t, ts.URL+"/v1/pods", bad)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("invalid workload: HTTP %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	r, err := http.Post(ts.URL+"/pods", "application/json", bytes.NewReader([]byte("{")))
+	r, err := http.Post(ts.URL+"/v1/pods", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +134,15 @@ func TestDuplicateAndInvalidManifests(t *testing.T) {
 
 func TestNodesAndQoSEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp := post(t, ts.URL+"/pods", k8s.Manifest{
+	resp := post(t, ts.URL+"/v1/pods", k8s.Manifest{
 		Name:     "q1",
 		Workload: k8s.WorkloadRef{Kind: "inference", Name: "key", Batch: 1},
 	})
 	resp.Body.Close()
-	resp = post(t, ts.URL+"/advance", map[string]int64{"ms": 3000})
+	resp = post(t, ts.URL+"/v1/advance", map[string]int64{"ms": 3000})
 	resp.Body.Close()
 
-	r, err := http.Get(ts.URL + "/nodes")
+	r, err := http.Get(ts.URL + "/v1/nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestNodesAndQoSEndpoints(t *testing.T) {
 		t.Fatalf("node status = %+v", nodes[0])
 	}
 
-	r, err = http.Get(ts.URL + "/qos")
+	r, err = http.Get(ts.URL + "/v1/qos")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +167,14 @@ func TestNodesAndQoSEndpoints(t *testing.T) {
 func TestAdvanceValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, body := range []map[string]int64{{"ms": 0}, {"ms": -5}, {"ms": int64(2 * sim.Hour)}} {
-		resp := post(t, ts.URL+"/advance", body)
+		resp := post(t, ts.URL+"/v1/advance", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %v: HTTP %d, want 400", body, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
 	// Garbage body.
-	r, _ := http.Post(ts.URL+"/advance", "application/json", bytes.NewReader([]byte("nope")))
+	r, _ := http.Post(ts.URL+"/v1/advance", "application/json", bytes.NewReader([]byte("nope")))
 	if r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage advance: HTTP %d", r.StatusCode)
 	}
@@ -186,11 +186,11 @@ func TestMethodDiscipline(t *testing.T) {
 	cases := []struct {
 		method, path string
 	}{
-		{http.MethodDelete, "/pods"},
-		{http.MethodPost, "/pods/x"},
-		{http.MethodPost, "/nodes"},
-		{http.MethodPost, "/qos"},
-		{http.MethodGet, "/advance"},
+		{http.MethodDelete, "/v1/pods"},
+		{http.MethodPost, "/v1/pods/x"},
+		{http.MethodPost, "/v1/nodes"},
+		{http.MethodPost, "/v1/qos"},
+		{http.MethodGet, "/v1/advance"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
@@ -207,7 +207,7 @@ func TestMethodDiscipline(t *testing.T) {
 		resp.Body.Close()
 	}
 	// Unknown pod → 404.
-	resp, err := http.Get(ts.URL + "/pods/ghost")
+	resp, err := http.Get(ts.URL + "/v1/pods/ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,20 +221,20 @@ func TestFullScenarioOverAPI(t *testing.T) {
 	// Submit a small mixed scenario entirely over HTTP and watch it drain.
 	ts, _ := newTestServer(t)
 	for i := 0; i < 3; i++ {
-		resp := post(t, ts.URL+"/pods", k8s.Manifest{
+		resp := post(t, ts.URL+"/v1/pods", k8s.Manifest{
 			Name:     fmt.Sprintf("batch-%d", i),
 			Workload: k8s.WorkloadRef{Kind: "rodinia", Name: "myocyte"},
 		})
 		resp.Body.Close()
 	}
 	for i := 0; i < 5; i++ {
-		resp := post(t, ts.URL+"/pods", k8s.Manifest{
+		resp := post(t, ts.URL+"/v1/pods", k8s.Manifest{
 			Name:     fmt.Sprintf("query-%d", i),
 			Workload: k8s.WorkloadRef{Kind: "inference", Name: "pos", Batch: 2},
 		})
 		resp.Body.Close()
 	}
-	resp := post(t, ts.URL+"/advance", map[string]int64{"ms": 60000})
+	resp := post(t, ts.URL+"/v1/advance", map[string]int64{"ms": 60000})
 	adv := decode[advanceResponse](t, resp)
 	if adv.Completed != 8 || adv.Pending != 0 {
 		t.Fatalf("after drain: %+v", adv)
@@ -243,12 +243,12 @@ func TestFullScenarioOverAPI(t *testing.T) {
 
 func TestEventsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp := post(t, ts.URL+"/pods", manifest("ev-1"))
+	resp := post(t, ts.URL+"/v1/pods", manifest("ev-1"))
 	resp.Body.Close()
-	resp = post(t, ts.URL+"/advance", map[string]int64{"ms": 40000})
+	resp = post(t, ts.URL+"/v1/advance", map[string]int64{"ms": 40000})
 	resp.Body.Close()
 
-	r, err := http.Get(ts.URL + "/events?pod=ev-1")
+	r, err := http.Get(ts.URL + "/v1/events?pod=ev-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Fatalf("event order = %+v", evs)
 	}
 	// Unfiltered view includes at least the same events.
-	r, err = http.Get(ts.URL + "/events")
+	r, err = http.Get(ts.URL + "/v1/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestReadYourWrites(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Warm the snapshot with an empty view first.
-	r, err := http.Get(ts.URL + "/pods")
+	r, err := http.Get(ts.URL + "/v1/pods")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +285,9 @@ func TestReadYourWrites(t *testing.T) {
 		t.Fatalf("initial pods = %+v", got)
 	}
 
-	resp := post(t, ts.URL+"/pods", manifest("ryw"))
+	resp := post(t, ts.URL+"/v1/pods", manifest("ryw"))
 	resp.Body.Close()
-	r, err = http.Get(ts.URL + "/pods")
+	r, err = http.Get(ts.URL + "/v1/pods")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +296,9 @@ func TestReadYourWrites(t *testing.T) {
 		t.Fatalf("after submit: %+v", pods)
 	}
 
-	resp = post(t, ts.URL+"/advance", map[string]int64{"ms": 40000})
+	resp = post(t, ts.URL+"/v1/advance", map[string]int64{"ms": 40000})
 	resp.Body.Close()
-	r, err = http.Get(ts.URL + "/pods/ryw")
+	r, err = http.Get(ts.URL + "/v1/pods/ryw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestReadYourWrites(t *testing.T) {
 		t.Fatalf("after advance: %+v", st)
 	}
 	// Events and QoS views refreshed too.
-	r, err = http.Get(ts.URL + "/events?pod=ryw")
+	r, err = http.Get(ts.URL + "/v1/events?pod=ryw")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func newListBenchServer(b *testing.B, n int) *Server {
 func BenchmarkAPIListPods10k(b *testing.B) {
 	s := newListBenchServer(b, 10_000)
 	h := s.Handler()
-	req := httptest.NewRequest("GET", "/pods", nil)
+	req := httptest.NewRequest("GET", "/v1/pods", nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.version.Add(1)
@@ -63,7 +63,7 @@ func BenchmarkAPIListPods10k(b *testing.B) {
 func BenchmarkAPIListPodsCached(b *testing.B) {
 	s := newListBenchServer(b, 10_000)
 	h := s.Handler()
-	req := httptest.NewRequest("GET", "/pods", nil)
+	req := httptest.NewRequest("GET", "/v1/pods", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req) // warm the snapshot
 	b.ResetTimer()

@@ -36,7 +36,7 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			paths := []string{"/pods", "/nodes", "/qos", "/events"}
+			paths := []string{"/v1/pods", "/v1/nodes", "/v1/qos", "/v1/events"}
 			for !stop.Load() {
 				resp, err := http.Get(ts.URL + paths[r%len(paths)])
 				if err != nil {
@@ -60,7 +60,7 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 			defer ww.Done()
 			for i := 0; i < perW; i++ {
 				name := fmt.Sprintf("pod-%d-%d", w, i)
-				resp := post(t, ts.URL+"/pods", manifest(name))
+				resp := post(t, ts.URL+"/v1/pods", manifest(name))
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusCreated {
@@ -68,7 +68,7 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					r2 := post(t, ts.URL+"/advance", map[string]int64{"ms": 50})
+					r2 := post(t, ts.URL+"/v1/advance", map[string]int64{"ms": 50})
 					io.Copy(io.Discard, r2.Body)
 					r2.Body.Close()
 				}
@@ -79,7 +79,7 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	resp, err := http.Get(ts.URL + "/pods")
+	resp, err := http.Get(ts.URL + "/v1/pods")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestConcurrentDuplicateSubmit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := post(t, ts.URL+"/pods", manifest("highlander"))
+			resp := post(t, ts.URL+"/v1/pods", manifest("highlander"))
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			switch resp.StatusCode {
@@ -161,7 +161,7 @@ func startAdvance(ts *httptest.Server, ms int64) chan int {
 	done := make(chan int, 1)
 	go func() {
 		buf, _ := json.Marshal(map[string]int64{"ms": ms})
-		resp, err := http.Post(ts.URL+"/advance", "application/json", bytes.NewReader(buf))
+		resp, err := http.Post(ts.URL+"/v1/advance", "application/json", bytes.NewReader(buf))
 		if err != nil {
 			done <- 0
 			return
@@ -178,7 +178,7 @@ func startAdvance(ts *httptest.Server, ms int64) chan int {
 // answer promptly from the pre-advance snapshot. Run under -race.
 func TestReadsProceedDuringAdvance(t *testing.T) {
 	ts, gate := newGateServer(t)
-	resp := post(t, ts.URL+"/pods", manifest("stuck"))
+	resp := post(t, ts.URL+"/v1/pods", manifest("stuck"))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", resp.StatusCode)
 	}
@@ -194,8 +194,8 @@ func TestReadsProceedDuringAdvance(t *testing.T) {
 	// A slow reader must never wedge on the write lock: bound every GET.
 	client := &http.Client{Timeout: 5 * time.Second}
 	paths := []string{
-		"/pods", "/pods/stuck", "/nodes", "/qos",
-		"/events", "/events?pod=stuck", "/harvest",
+		"/v1/pods", "/v1/pods/stuck", "/v1/nodes", "/v1/qos",
+		"/v1/events", "/v1/events?pod=stuck", "/v1/harvest",
 	}
 	for _, p := range paths {
 		r, err := client.Get(ts.URL + p)
@@ -207,7 +207,7 @@ func TestReadsProceedDuringAdvance(t *testing.T) {
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s during advance: HTTP %d", p, r.StatusCode)
 		}
-		if p == "/pods" && !bytes.Contains(body, []byte(`"stuck"`)) {
+		if p == "/v1/pods" && !bytes.Contains(body, []byte(`"stuck"`)) {
 			t.Fatalf("pre-advance snapshot lost pod: %s", body)
 		}
 	}
@@ -247,7 +247,7 @@ func TestReadsProceedDuringAdvance(t *testing.T) {
 		t.Fatalf("gated advance finished with HTTP %d", code)
 	}
 	// Post-advance reads see the new clock.
-	r, err := client.Get(ts.URL + "/pods/stuck")
+	r, err := client.Get(ts.URL + "/v1/pods/stuck")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestReadsProceedDuringAdvance(t *testing.T) {
 // gets 409 and the slot reopens once the first finishes.
 func TestAdvanceSingleFlight(t *testing.T) {
 	ts, gate := newGateServer(t)
-	resp := post(t, ts.URL+"/pods", manifest("sf"))
+	resp := post(t, ts.URL+"/v1/pods", manifest("sf"))
 	resp.Body.Close()
 
 	first := startAdvance(ts, 30000)

@@ -22,73 +22,31 @@ import (
 
 var updateRoutes = flag.Bool("update", false, "regenerate the route-contract golden file")
 
-// TestDeprecationHeaders pins the alias contract: legacy unversioned paths
-// answer identically but carry Deprecation plus a Link to the /v1 successor;
-// the /v1 paths carry neither.
-func TestDeprecationHeaders(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp := post(t, ts.URL+"/v1/pods", manifest("dep-1"))
-	resp.Body.Close()
-
-	for _, path := range []string{"/pods", "/pods/dep-1", "/nodes", "/qos", "/events", "/harvest", "/state"} {
-		legacy, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy.Body.Close()
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: missing Deprecation header", path)
-		}
-		want := "/v1" + path
-		if path == "/pods/dep-1" {
-			want = "/v1/pods" // the alias advertises its route's successor, not the instance
-		}
-		if link := legacy.Header.Get("Link"); !strings.Contains(link, "<"+want+">") ||
-			!strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s: Link = %q, want successor %s", path, link, want)
-		}
-
-		v1, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1.Body.Close()
-		if v1.Header.Get("Deprecation") != "" || v1.Header.Get("Link") != "" {
-			t.Errorf("GET /v1%s: deprecation headers on the versioned path", path)
-		}
-		if v1.StatusCode != legacy.StatusCode {
-			t.Errorf("%s: legacy HTTP %d vs /v1 HTTP %d", path, legacy.StatusCode, v1.StatusCode)
-		}
-	}
-}
-
-// TestErrorEnvelope pins the unified error shape on both surfaces and its
-// round trip through the client's StatusError.
+// TestErrorEnvelope pins the unified error shape and its round trip
+// through the client's StatusError.
 func TestErrorEnvelope(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, path := range []string{"/pods/ghost", "/v1/pods/ghost"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s: HTTP %d", path, resp.StatusCode)
-		}
-		var env struct {
-			Error string `json:"error"`
-			Code  int    `json:"code"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			t.Fatalf("GET %s: envelope does not decode: %v", path, err)
-		}
-		resp.Body.Close()
-		if env.Error == "" || env.Code != http.StatusNotFound {
-			t.Fatalf("GET %s: envelope = %+v", path, env)
-		}
+	resp, err := http.Get(ts.URL + "/v1/pods/ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/pods/ghost: HTTP %d", resp.StatusCode)
+	}
+	var env struct {
+		Error string `json:"error"`
+		Code  int    `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("GET /v1/pods/ghost: envelope does not decode: %v", err)
+	}
+	resp.Body.Close()
+	if env.Error == "" || env.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/pods/ghost: envelope = %+v", env)
 	}
 
 	c := NewClient(ts.URL)
-	_, err := c.Pod("ghost")
+	_, err = c.Pod("ghost")
 	var se *StatusError
 	if !asStatusError(err, &se) || se.Code != http.StatusNotFound || se.Message == "" {
 		t.Fatalf("client error = %v", err)
@@ -262,8 +220,8 @@ func TestEventsPaginationAndExpiry(t *testing.T) {
 }
 
 // TestRouteContract is the golden enumeration of the full HTTP surface:
-// method × path × status for every /v1 route and its legacy alias. A new
-// route, a removed alias, or a changed status shows up as a golden diff.
+// method × path × status for every /v1 route. A new route, a removed route,
+// or a changed status shows up as a golden diff.
 func TestRouteContract(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp := post(t, ts.URL+"/v1/pods", manifest("rc-1"))
@@ -292,29 +250,18 @@ func TestRouteContract(t *testing.T) {
 	}
 
 	var b strings.Builder
-	for _, prefix := range []string{"/v1", ""} {
-		for _, p := range probes {
-			// POST probes mutate; suffix names per surface so the second
-			// pass conflicts deterministically rather than double-creating.
-			body := p.body
-			if prefix == "" {
-				body = strings.ReplaceAll(body, "rc-2", "rc-2-legacy")
-			}
-			req, err := http.NewRequest(p.method, ts.URL+prefix+p.path, strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			dep := ""
-			if resp.Header.Get("Deprecation") == "true" {
-				dep = " deprecated"
-			}
-			fmt.Fprintf(&b, "%-6s %-20s %d%s\n", p.method, prefix+p.path, resp.StatusCode, dep)
+	for _, p := range probes {
+		path := "/v1" + p.path
+		req, err := http.NewRequest(p.method, ts.URL+path, strings.NewReader(p.body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		fmt.Fprintf(&b, "%-6s %-20s %d\n", p.method, path, resp.StatusCode)
 	}
 
 	golden := filepath.Join("testdata", "routes.golden")

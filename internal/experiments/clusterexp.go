@@ -28,10 +28,6 @@ type ClusterConfig struct {
 	// MemCapMB overrides per-GPU memory (0 = the P100's 16 GB); the resize
 	// ablation uses small devices so reservations actually bind.
 	MemCapMB float64
-	// Shards partitions the scheduler's candidate scan across node shards
-	// (0/1 = the serial scan). Only Shardable schedulers (CBP, PP) honour
-	// it; results are byte-identical at any value (DESIGN.md §7).
-	Shards int
 
 	// Chaos injects the given fault plan into the run. The zero value means
 	// no injector is even constructed, so baseline runs are byte-identical
@@ -132,11 +128,6 @@ type ClusterRun struct {
 // queries, the rest long batch jobs (Section III).
 func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *ClusterRun {
 	cfg = cfg.withDefaults()
-	if cfg.Shards > 1 {
-		if s, ok := sched.(scheduler.Shardable); ok {
-			s.SetShards(cfg.Shards)
-		}
-	}
 	eng := sim.NewEngine(cfg.Seed)
 	ccfg := cluster.DefaultConfig()
 	ccfg.Nodes = cfg.Nodes
@@ -281,8 +272,8 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 		}
 		// Spans fold the event log and decision records after the run — both
 		// deterministic — so the span file is byte-identical at any pool
-		// width or shard count. The ID generator is seeded with the run key,
-		// making IDs stable across sweeps too.
+		// width. The ID generator is seeded with the run key, making IDs
+		// stable across sweeps too.
 		art.Spans = k8s.BuildSpans(span.NewIDGen(art.Key), sched.Name(), o.Events.All(), art.Decisions)
 		cfg.Obs.Add(art)
 	}

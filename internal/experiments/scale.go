@@ -24,7 +24,7 @@ import (
 var (
 	mScaleRound = obs.Default().HistogramVec("scale_round_seconds",
 		"Wall time of one scheduling round in the fig-scale study.",
-		obs.LatencyBuckets, "sched", "gpus", "shards")
+		obs.LatencyBuckets, "sched", "gpus")
 	mScaleSnapshot = obs.Default().HistogramVec("scale_snapshot_seconds",
 		"Wall time of one aggregator snapshot in the fig-scale study.",
 		obs.LatencyBuckets, "gpus", "mode")
@@ -42,24 +42,20 @@ var ScaleSizes = []int{64, 256, 1024, 4096}
 // scaleParams sizes one fig-scale run. Tests shrink every dimension; the
 // CLI uses scaleDefaults.
 type scaleParams struct {
-	Sizes            []int // GPU counts of the ladder
-	GPUsPerNode      int
-	StrongShards     []int // shard counts swept at the largest size
-	WeakGPUsPerShard int   // weak scaling holds GPUs-per-shard fixed
-	Pods             int   // pending-queue length per timed round
-	Repeats          int   // timed repetitions; tables report the minimum
-	Seed             int64
+	Sizes       []int // GPU counts of the ladder
+	GPUsPerNode int
+	Pods        int // pending-queue length per timed round
+	Repeats     int // timed repetitions; tables report the minimum
+	Seed        int64
 }
 
 func scaleDefaults(seed int64) scaleParams {
 	return scaleParams{
-		Sizes:            ScaleSizes,
-		GPUsPerNode:      8,
-		StrongShards:     []int{1, 2, 4, 8},
-		WeakGPUsPerShard: 512,
-		Pods:             24,
-		Repeats:          3,
-		Seed:             seed,
+		Sizes:       ScaleSizes,
+		GPUsPerNode: 8,
+		Pods:        24,
+		Repeats:     3,
+		Seed:        seed,
 	}
 }
 
@@ -122,17 +118,14 @@ func newScaleRig(gpus int, p scaleParams) *scaleRig {
 }
 
 // timeRound measures one scheduler's round over the rig's queue: a fresh
-// policy instance per cell, sharded when the policy supports it, timed
-// Repeats times; the minimum is the cell (and an obs histogram sample).
-func (r *scaleRig) timeRound(schedName string, shards, repeats, gpus int) float64 {
+// policy instance per repetition, timed Repeats times; the minimum is the
+// cell (and an obs histogram sample).
+func (r *scaleRig) timeRound(schedName string, repeats, gpus int) float64 {
 	best := 0.0
 	for i := 0; i < repeats; i++ {
 		s, err := SchedulerByName(schedName)
 		if err != nil {
 			panic(err)
-		}
-		if sh, ok := s.(scheduler.Shardable); ok {
-			sh.SetShards(shards)
 		}
 		start := time.Now()
 		s.Schedule(r.snap.At, r.queue, r.snap)
@@ -141,7 +134,7 @@ func (r *scaleRig) timeRound(schedName string, shards, repeats, gpus int) float6
 			best = d
 		}
 	}
-	mScaleRound.With(schedName, fmt.Sprintf("%d", gpus), fmt.Sprintf("%d", shards)).Observe(best)
+	mScaleRound.With(schedName, fmt.Sprintf("%d", gpus)).Observe(best)
 	return best
 }
 
@@ -194,20 +187,15 @@ func (r *scaleRig) measureAggregator(iters, gpus int) aggCost {
 func fus(sec float64) string { return fmt.Sprintf("%.0f", sec*1e6) }
 
 // figScale runs the whole study with the given parameters and returns its
-// four tables: the shards=1 round-latency ladder, weak scaling, strong
-// scaling at the largest size, and the aggregator-snapshot cost ladder.
+// two tables: the round-latency ladder and the aggregator-snapshot cost
+// ladder.
 func figScale(p scaleParams) []*Table {
 	scheds := []string{"Uniform", "Res-Ag", "CBP", "PP"}
 
 	round := &Table{
 		ID:     "fig-scale-round",
-		Title:  "Scheduler round latency vs cluster size (µs, shards=1, min of repeats)",
+		Title:  "Scheduler round latency vs cluster size (µs, min of repeats)",
 		Header: append([]string{"gpus", "nodes"}, scheds...),
-	}
-	weak := &Table{
-		ID:     "fig-scale-weak",
-		Title:  fmt.Sprintf("Weak scaling: round latency at %d GPUs per shard (µs)", p.WeakGPUsPerShard),
-		Header: append([]string{"gpus", "shards"}, scheds...),
 	}
 	agg := &Table{
 		ID:     "fig-scale-agg",
@@ -221,19 +209,9 @@ func figScale(p scaleParams) []*Table {
 
 		row := []string{fmt.Sprintf("%d", gpus), fmt.Sprintf("%d", nodes)}
 		for _, s := range scheds {
-			row = append(row, fus(r.timeRound(s, 1, p.Repeats, gpus)))
+			row = append(row, fus(r.timeRound(s, p.Repeats, gpus)))
 		}
 		round.AddRow(row...)
-
-		ws := gpus / p.WeakGPUsPerShard
-		if ws < 1 {
-			ws = 1
-		}
-		row = []string{fmt.Sprintf("%d", gpus), fmt.Sprintf("%d", ws)}
-		for _, s := range scheds {
-			row = append(row, fus(r.timeRound(s, ws, p.Repeats, gpus)))
-		}
-		weak.AddRow(row...)
 
 		c := r.measureAggregator(p.Repeats+2, gpus)
 		speedup := 0.0
@@ -246,37 +224,7 @@ func figScale(p scaleParams) []*Table {
 	agg.Notes = append(agg.Notes,
 		"replay-rebuilds 0.0 at every size is the O(dirty-nodes) invariant: unchanged nodes are served from per-node caches")
 
-	largest := p.Sizes[len(p.Sizes)-1]
-	strong := &Table{
-		ID:     "fig-scale-strong",
-		Title:  fmt.Sprintf("Strong scaling: round latency at %d GPUs vs shard count (µs)", largest),
-		Header: append([]string{"shards"}, append(append([]string{}, scheds...), "PP-speedup")...),
-	}
-	r := newScaleRig(largest, p)
-	var ppBase float64
-	for _, shards := range p.StrongShards {
-		row := []string{fmt.Sprintf("%d", shards)}
-		var pp float64
-		for _, s := range scheds {
-			d := r.timeRound(s, shards, p.Repeats, largest)
-			if s == "PP" {
-				pp = d
-			}
-			row = append(row, fus(d))
-		}
-		if shards == p.StrongShards[0] {
-			ppBase = pp
-		}
-		sp := 0.0
-		if pp > 0 {
-			sp = ppBase / pp
-		}
-		strong.AddRow(append(row, f2(sp))...)
-	}
-	strong.Notes = append(strong.Notes,
-		"Uniform and Res-Ag ignore -shards (not Shardable); shard speedups need GOMAXPROCS > 1 (the scan stays serial, and byte-identical, on one CPU)")
-
-	return []*Table{round, weak, strong, agg}
+	return []*Table{round, agg}
 }
 
 // FigScale is the CLI entry point: the full 64→4096 GPU ladder.

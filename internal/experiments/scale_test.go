@@ -9,13 +9,11 @@ import (
 // in well under a second.
 func smallScale() scaleParams {
 	return scaleParams{
-		Sizes:            []int{8, 16},
-		GPUsPerNode:      4,
-		StrongShards:     []int{1, 2},
-		WeakGPUsPerShard: 8,
-		Pods:             6,
-		Repeats:          1,
-		Seed:             1,
+		Sizes:       []int{8, 16},
+		GPUsPerNode: 4,
+		Pods:        6,
+		Repeats:     1,
+		Seed:        1,
 	}
 }
 
@@ -25,14 +23,14 @@ func smallScale() scaleParams {
 func TestFigScaleShape(t *testing.T) {
 	p := smallScale()
 	tabs := figScale(p)
-	if len(tabs) != 4 {
-		t.Fatalf("tables = %d, want 4", len(tabs))
+	if len(tabs) != 2 {
+		t.Fatalf("tables = %d, want 2", len(tabs))
 	}
 	byID := map[string]*Table{}
 	for _, tb := range tabs {
 		byID[tb.ID] = tb
 	}
-	for _, id := range []string{"fig-scale-round", "fig-scale-weak", "fig-scale-strong", "fig-scale-agg"} {
+	for _, id := range []string{"fig-scale-round", "fig-scale-agg"} {
 		tb := byID[id]
 		if tb == nil {
 			t.Fatalf("missing table %q", id)
@@ -49,8 +47,8 @@ func TestFigScaleShape(t *testing.T) {
 	if got := len(byID["fig-scale-round"].Rows); got != len(p.Sizes) {
 		t.Fatalf("fig-scale-round rows = %d, want %d", got, len(p.Sizes))
 	}
-	if got := len(byID["fig-scale-strong"].Rows); got != len(p.StrongShards) {
-		t.Fatalf("fig-scale-strong rows = %d, want %d", got, len(p.StrongShards))
+	if got := len(byID["fig-scale-agg"].Rows); got != len(p.Sizes) {
+		t.Fatalf("fig-scale-agg rows = %d, want %d", got, len(p.Sizes))
 	}
 	for _, s := range []string{"Uniform", "Res-Ag", "CBP", "PP"} {
 		if !strings.Contains(strings.Join(byID["fig-scale-round"].Header, " "), s) {

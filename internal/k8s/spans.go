@@ -14,7 +14,7 @@ import (
 // and the decision-trace records (per-round scheduler and harvest-controller
 // evaluations with their gate verdicts as span events). Deriving spans after
 // the run, instead of emitting them live from scheduler goroutines, is what
-// keeps the span file byte-identical at any -parallel or -shards setting:
+// keeps the span file byte-identical at any -parallel setting:
 // the inputs are proven identical, and this function is a pure fold over
 // them. Chaos fault injections (NodeDown/GPUDown) are correlated with the
 // drains they cause and annotated onto the affected exec/requeue segments.

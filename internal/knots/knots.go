@@ -156,7 +156,7 @@ func (m *Monitor) SampleSeq(node int) uint64 {
 }
 
 // SetNodeDown marks one node's monitor down (true) or back up (false).
-// While down the node is not sampled and its NodeServer answers 503.
+// While down the node is not sampled, so its telemetry goes stale.
 func (m *Monitor) SetNodeDown(node int, down bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -19,10 +19,4 @@ var (
 		"Per-node snapshot stats rebuilt because the node changed (dirty).")
 	mNodeCacheHits = obs.Default().Counter("knots_snapshot_node_cache_hits_total",
 		"Per-node snapshot stats reused unchanged from the previous heartbeat.")
-	mFetches = obs.Default().CounterVec("knots_remote_fetches_total",
-		"Remote worker stats queries by final result.", "result")
-	mFetchRetries = obs.Default().Counter("knots_remote_fetch_retries_total",
-		"Remote stats query re-attempts after a transient failure.")
-	mFetchTimeouts = obs.Default().Counter("knots_remote_fetch_timeouts_total",
-		"Remote stats query attempts that hit their deadline.")
 )

@@ -80,166 +80,110 @@ func TestProfilerConcurrentObserveComplete(t *testing.T) {
 	}
 }
 
-// TestRemoteStatsConcurrentFetch drives the HTTP monitoring path under load:
-// a sampler keeps appending heartbeats to the node-local stores while many
-// head-node aggregators fetch the full cluster view. Run under -race. The
-// final serial fetch must see every device and every metric series.
-func TestRemoteStatsConcurrentFetch(t *testing.T) {
-	const fetchers = 6
-	cl, mon, ra, closeAll := remoteRig(t, 3)
-	defer closeAll()
-
-	// Populate device state serially (cluster mutation is single-threaded by
-	// design); the concurrent phase only samples and reads.
+// TestSnapshotRacesNodeDeathRevival races the head-node aggregator against
+// telemetry death and revival: a chaos goroutine keeps flipping node
+// monitors down and back up while a sampler heartbeats and aggregators
+// snapshot the cluster. Run under -race. Every snapshot must list each node
+// exactly once, either live (fresh or stale) or dead — a dying node may never
+// blind the aggregator to the surviving cluster.
+func TestSnapshotRacesNodeDeathRevival(t *testing.T) {
+	const (
+		nodes       = 3
+		aggregators = 2
+		flips       = 200
+	)
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = nodes
+	cl := cluster.New(cfg)
+	mon := NewMonitor(cl, 0)
 	prof := workloads.RodiniaProfile(workloads.KMeans)
 	c := &cluster.Container{ID: "a", Class: prof.Class, Inst: prof.NewInstance(nil)}
 	if err := cl.GPUs()[0].Place(0, c, 3000); err != nil {
 		t.Fatal(err)
 	}
+	// Populate device state serially (cluster mutation is single-threaded by
+	// design); the concurrent phase only samples, flips liveness and reads.
 	for now := sim.Time(0); now < sim.Second; now += 10 * sim.Millisecond {
 		cl.Tick(now, 10*sim.Millisecond)
 		mon.Sample(now)
-	}
-
-	var clock atomic.Int64
-	clock.Store(int64(sim.Second))
-	var stop atomic.Bool
-	var ww sync.WaitGroup
-	ww.Add(1)
-	go func() { // writer: heartbeat sampler
-		defer ww.Done()
-		for i := 0; i < 500; i++ {
-			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
-		}
-		stop.Store(true)
-	}()
-
-	var wg sync.WaitGroup
-	for f := 0; f < fetchers; f++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				stats, err := ra.Fetch(sim.Time(clock.Load()))
-				if err != nil {
-					t.Errorf("fetch: %v", err)
-					return
-				}
-				if len(stats) != 3 {
-					t.Errorf("fetch returned %d nodes, want 3", len(stats))
-					return
-				}
-			}
-		}()
-	}
-	ww.Wait()
-	wg.Wait()
-
-	stats, err := ra.Fetch(sim.Time(clock.Load()))
-	if err != nil {
-		t.Fatal(err)
 	}
 	perNode := len(cl.NodeGPUs(0))
-	for _, ns := range stats {
-		if len(ns.Devices) != perNode || len(ns.Windows) != perNode {
-			t.Fatalf("node %d: %d devices / %d windows, want %d", ns.Node, len(ns.Devices), len(ns.Windows), perNode)
-		}
-		for _, w := range ns.Windows {
-			for _, m := range Metrics {
-				if len(w.Series[m]) == 0 {
-					t.Fatalf("node %d gpu %s: empty %s series after sampling", ns.Node, w.GPU, m)
-				}
-			}
-		}
+	newAgg := func() *Aggregator {
+		a := NewAggregator(mon)
+		a.StaleAfter = 30 * sim.Millisecond
+		a.DeadAfter = 60 * sim.Millisecond
+		return a
 	}
-}
 
-// TestRemoteFetchRacesNodeDeathRevival races head-node fetches against
-// telemetry death and revival: a chaos goroutine keeps flipping node
-// monitors down (their NodeServers answer 503) and back up while samplers
-// heartbeat and many aggregators fetch. Run under -race. Every fetch must
-// return one entry per endpoint, each either live, a Stale cache hit, or
-// Missing — a dying node may never abort the surviving cluster view.
-func TestRemoteFetchRacesNodeDeathRevival(t *testing.T) {
-	const (
-		nodes    = 3
-		fetchers = 4
-		flips    = 200
-	)
-	cl, mon, ra, closeAll := remoteRig(t, nodes)
-	defer closeAll()
-	fastRetry(ra)
-
-	prof := workloads.RodiniaProfile(workloads.KMeans)
-	c := &cluster.Container{ID: "a", Class: prof.Class, Inst: prof.NewInstance(nil)}
-	if err := cl.GPUs()[0].Place(0, c, 3000); err != nil {
-		t.Fatal(err)
-	}
-	for now := sim.Time(0); now < sim.Second; now += 10 * sim.Millisecond {
-		cl.Tick(now, 10*sim.Millisecond)
-		mon.Sample(now)
-	}
-	// Node 0 stays permanently alive so Fetch always has a live entry and
-	// never reports the all-workers-unreachable error mid-race.
 	var clock atomic.Int64
 	clock.Store(int64(sim.Second))
 	var stop atomic.Bool
-
 	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() { // killer/reviver: nodes 1..n-1 flap
+	chaosWG.Add(2)
+	go func() { // killer/reviver: nodes 1..n-1 flap; node 0 stays alive
 		defer chaosWG.Done()
 		for i := 0; i < flips; i++ {
-			node := 1 + i%(nodes-1)
-			mon.SetNodeDown(node, i%2 == 0)
+			mon.SetNodeDown(1+i%(nodes-1), i%2 == 0)
+		}
+	}()
+	go func() { // heartbeat sampler
+		defer chaosWG.Done()
+		for i := 0; i < flips; i++ {
 			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
 		}
-		// Revive everyone for the final serial check.
-		for n := 1; n < nodes; n++ {
-			mon.SetNodeDown(n, false)
-		}
-		stop.Store(true)
 	}()
 
 	var wg sync.WaitGroup
-	for f := 0; f < fetchers; f++ {
+	for g := 0; g < aggregators; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				stats, err := ra.Fetch(sim.Time(clock.Load()))
-				if err != nil {
-					t.Errorf("fetch aborted during node flap: %v", err)
-					return
+			agg := newAgg()
+			// Keep snapshotting until the chaos is over, and at least 50
+			// times so the readers overlap the writers however they start.
+			for i := 0; i < 50 || !stop.Load(); i++ {
+				snap := agg.Snapshot(sim.Time(clock.Load()))
+				seen := map[int]int{}
+				for _, st := range snap.Stats {
+					seen[st.GPU.Node]++
 				}
-				if len(stats) != nodes {
-					t.Errorf("fetch returned %d entries, want %d", len(stats), nodes)
-					return
-				}
-				if stats[0].Missing || stats[0].Stale {
-					t.Errorf("always-alive node degraded: %+v", stats[0])
-					return
-				}
-				for _, ns := range stats {
-					if !ns.Missing && !ns.Stale && len(ns.Devices) == 0 {
-						t.Errorf("live entry with no devices: %+v", ns)
+				for _, n := range snap.DeadNodes {
+					if seen[n] != 0 {
+						t.Errorf("node %d both dead and live", n)
 						return
 					}
+					seen[n] = perNode
+				}
+				for n := 0; n < nodes; n++ {
+					if seen[n] != perNode {
+						t.Errorf("node %d: %d entries in snapshot, want %d", n, seen[n], perNode)
+						return
+					}
+				}
+				if len(snap.Stats) == 0 || snap.Stats[0].GPU.Node != 0 || snap.Stats[0].Stale {
+					t.Errorf("always-alive node 0 is not first and fresh in the snapshot")
+					return
 				}
 			}
 		}()
 	}
 	chaosWG.Wait()
+	stop.Store(true)
 	wg.Wait()
 
-	mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
-	stats, err := ra.Fetch(sim.Time(clock.Load()))
-	if err != nil {
-		t.Fatal(err)
+	// Revive everyone: one heartbeat later every node is fresh again.
+	for n := 1; n < nodes; n++ {
+		mon.SetNodeDown(n, false)
 	}
-	for _, ns := range stats {
-		if ns.Missing || ns.Stale {
-			t.Fatalf("node %d still degraded after full revival: %+v", ns.Node, ns)
+	now := sim.Time(clock.Add(int64(10 * sim.Millisecond)))
+	mon.Sample(now)
+	snap := newAgg().Snapshot(now)
+	if len(snap.DeadNodes) != 0 || len(snap.Stats) != nodes*perNode {
+		t.Fatalf("after revival: %d dead nodes, %d stats; want 0, %d", len(snap.DeadNodes), len(snap.Stats), nodes*perNode)
+	}
+	for _, st := range snap.Stats {
+		if st.Stale {
+			t.Fatalf("node %d still stale after revival", st.GPU.Node)
 		}
 	}
 }

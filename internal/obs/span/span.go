@@ -7,7 +7,7 @@
 // Everything here is deterministic by construction: span IDs are derived
 // from the run key, the pod name, and a monotonically assigned sequence
 // number — no wall clock, no randomness — so a span file is byte-identical
-// at any -parallel or -shards value. The package holds only the model and
+// at any -parallel value. The package holds only the model and
 // the analysis layer; building spans from a run's event log lives in
 // internal/k8s, and export plumbing in internal/obs.
 package span
@@ -92,7 +92,7 @@ func (s *Span) SetAttr(k, v string) {
 // IDGen derives span IDs for one run: a monotonically increasing sequence
 // hashed (FNV-1a 64) together with the run key and pod name. Two generators
 // constructed with the same run key produce the same ID stream, which is
-// what makes span files reproducible across pool widths and shard counts.
+// what makes span files reproducible across pool widths.
 type IDGen struct {
 	run string
 	seq uint64

@@ -105,10 +105,9 @@ func resampleInto(dst, xs []float64, n int) []float64 {
 	return dst
 }
 
-// gateScratch holds the buffers one candidate-evaluation context reuses
-// across gate checks: the profile resample buffer and the Spearman rank
-// buffers. The serial path owns one; the sharded path owns one per shard, so
-// concurrent shard scans never share a buffer.
+// gateScratch holds the buffers the correlation gate reuses across
+// candidate checks: the profile resample buffer and the Spearman rank
+// buffers.
 type gateScratch struct {
 	resampled []float64
 	spearman  metrics.SpearmanScratch
@@ -119,12 +118,9 @@ type gateScratch struct {
 // per job), so the buffers are overwritten on every call and never shared
 // across runs; see DESIGN.md "Hot-path memory discipline".
 type scratch struct {
-	gate   gateScratch
-	pods   []*k8s.Pod
-	plan   planner
-	shards []shardState
-	nodeOf []int // per-device node id, rebuilt each sharded round
-	assign []int // per-device shard assignment, rebuilt each sharded round
+	gate gateScratch
+	pods []*k8s.Pod
+	plan planner
 }
 
 // planner tracks in-round commitments so one scheduling pass cannot
@@ -228,26 +224,13 @@ func (p *planner) candidateOrder() []int {
 // reorder repairs the candidate ordering after device i's planned free
 // memory shrank: remove it, binary-search its new slot, reinsert.
 func (p *planner) reorder(i int) {
-	if len(p.order) != len(p.stats) {
+	order := p.order
+	if len(order) != len(p.stats) {
 		return // order not built (Uniform/Res-Ag scan the snapshot directly)
 	}
-	p.reorderIn(p.order, i)
-}
-
-// reorderIn repairs any pl.less-sorted index slice (the global candidate
-// order, or one shard's order) after device i's key changed: remove it,
-// binary-search its new slot, reinsert. A slice not containing i is left
-// untouched.
-func (p *planner) reorderIn(order []int, i int) {
-	pos := -1
-	for k, idx := range order {
-		if idx == i {
-			pos = k
-			break
-		}
-	}
-	if pos < 0 {
-		return
+	pos := 0 // a built order holds every device index exactly once
+	for order[pos] != i {
+		pos++
 	}
 	copy(order[pos:], order[pos+1:])
 	n := len(order) - 1
@@ -379,18 +362,10 @@ type CBP struct {
 	// Trace, when set, receives a per-pod placement audit record for every
 	// scheduling attempt (nil = no tracing, zero overhead).
 	Trace obs.Tracer
-	// Shards splits each pod's candidate scan across node-aligned shards
-	// evaluated concurrently (shard.go); values ≤ 1 keep the serial scan.
-	// Any shard count produces byte-identical decisions and traces — see
-	// DESIGN.md §7 for the argument.
-	Shards int
 
 	profCache map[string][]float64
 	scr       scratch
 }
-
-// SetShards implements Shardable.
-func (c *CBP) SetShards(n int) { c.Shards = n }
 
 // SetDecisionTracer implements obs.DecisionTraceable.
 func (c *CBP) SetDecisionTracer(t obs.Tracer) { c.Trace = t }
@@ -508,17 +483,16 @@ func (c *CBP) staleAdmit(pod *k8s.Pod, st *knots.GPUStat, pl *planner, i int) (f
 // enough structure to correlate; latency-critical pods are co-located after
 // harvesting (Section IV-C).
 func (c *CBP) corrOK(pod *k8s.Pod, st *knots.GPUStat) bool {
-	_, _, ok := c.corrCheck(pod, st, &c.scr.gate)
+	_, _, ok := c.corrCheck(pod, st)
 	return ok
 }
 
 // corrCheck is corrOK with the computed ρ exposed for decision tracing:
 // computed reports whether a correlation was actually evaluated (batch pod,
 // enough node history), and ok whether the gate passes. The resample and
-// rank buffers live in gs, so the per-candidate check does not allocate;
-// concurrent shard scans pass disjoint scratches. The profile cache must be
-// pre-warmed (see upcomingMemSeries) before concurrent use.
-func (c *CBP) corrCheck(pod *k8s.Pod, st *knots.GPUStat, gs *gateScratch) (rho float64, computed, ok bool) {
+// rank buffers live in the scheduler's gate scratch, so the per-candidate
+// check does not allocate.
+func (c *CBP) corrCheck(pod *k8s.Pod, st *knots.GPUStat) (rho float64, computed, ok bool) {
 	corrTh, _, _, _ := c.params()
 	if pod.Class != workloads.Batch {
 		return 0, false, true
@@ -527,6 +501,7 @@ func (c *CBP) corrCheck(pod *k8s.Pod, st *knots.GPUStat, gs *gateScratch) (rho f
 	if len(node) < 8 || metrics.Variance(node) == 0 {
 		return 0, false, true // empty or flat node: nothing to correlate against
 	}
+	gs := &c.scr.gate
 	prof := resampleInto(gs.resampled[:0], c.upcomingMemSeries(pod.Profile), len(node))
 	gs.resampled = prof
 	rho, err := gs.spearman.Rho(prof, node)
@@ -575,27 +550,23 @@ func (c *CBP) Schedule(now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot) [
 
 // candEval is the outcome of evaluating one candidate device for one pod:
 // the admission verdict, the reservation to commit on admit, and the trace
-// step the serial scan would have recorded.
+// step to record.
 type candEval struct {
-	ci      int  // snapshot index of the candidate device
 	admit   bool // the pod may be placed here
 	reserve float64
 	ct      obs.CandidateTrace
 }
 
 // evalCandidate runs the Algorithm-1 gate sequence for one pod against one
-// candidate device. It only *reads* planner state (free, planned SM,
-// in-round commits) and writes nothing but gs, so concurrent calls with
-// disjoint scratches are safe — this is what makes the sharded scan's
-// results identical to the serial scan's: the gates are pure functions of
-// (pod, device, planner state), and planner state only changes between
-// pods, never during one pod's scan. pp non-nil enables PP's forecast
-// fallback when the correlation gate refuses; nil is plain CBP.
-func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64, ci int, snap *knots.Snapshot, pl *planner, gs *gateScratch) candEval {
+// candidate device. It only reads planner state (free, planned SM, in-round
+// commits); the round commits after the scan picks a device. pp non-nil
+// enables PP's forecast fallback when the correlation gate refuses; nil is
+// plain CBP.
+func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64, ci int, snap *knots.Snapshot, pl *planner) candEval {
 	st := &snap.Stats[ci]
 	g := st.GPU
 	free, planned := pl.free[ci], pl.sm[ci]
-	ev := candEval{ci: ci}
+	var ev candEval
 	if st.Stale {
 		// Degraded mode: no correlation, no forecast — a rotten window
 		// licenses neither. Conservative exclusive placement only.
@@ -623,7 +594,7 @@ func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64
 		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: obs.RejectAffinity}
 		return ev
 	}
-	rho, rhoComputed, ok := c.corrCheck(pod, st, gs)
+	rho, rhoComputed, ok := c.corrCheck(pod, st)
 	if ok {
 		// Algorithm 1: Can_Co-locate → Ship_Container.
 		ev.admit, ev.reserve = true, reserve
@@ -652,9 +623,7 @@ func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64
 
 // scheduleAlgo1 is the shared CBP/PP scheduling round: harvest-sorted pod
 // queue, then for each pod a first-admissible scan over the pl.less
-// candidate order. With Shards > 1 the scan fans out across node shards
-// (shard.go); the serial loop below is the reference semantics the sharded
-// path must reproduce byte-for-byte.
+// candidate order.
 func (c *CBP) scheduleAlgo1(pp *PP, name string, now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot) []k8s.Decision {
 	_, _, _, maxSM := c.params()
 	pl := &c.scr.plan
@@ -667,9 +636,6 @@ func (c *CBP) scheduleAlgo1(pp *PP, name string, now sim.Time, pending []*k8s.Po
 	sort.SliceStable(order, func(i, j int) bool {
 		return c.ReserveFor(order[i]) > c.ReserveFor(order[j])
 	})
-	if c.shardCount(snap) > 1 {
-		return c.scheduleSharded(pp, name, now, order, snap, maxSM)
-	}
 	var out []k8s.Decision
 	for _, pod := range order {
 		reserve := c.ReserveFor(pod)
@@ -677,7 +643,7 @@ func (c *CBP) scheduleAlgo1(pp *PP, name string, now sim.Time, pending []*k8s.Po
 		rec := newAudit(c.Trace, now, name, pod, reserve, peakSM)
 		var placed *cluster.GPU
 		for _, ci := range pl.candidateOrder() {
-			ev := c.evalCandidate(pp, pod, reserve, peakSM, maxSM, ci, snap, pl, &c.scr.gate)
+			ev := c.evalCandidate(pp, pod, reserve, peakSM, maxSM, ci, snap, pl)
 			rec.step(ev.ct)
 			if ev.admit {
 				g := snap.Stats[ci].GPU

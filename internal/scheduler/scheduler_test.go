@@ -2,11 +2,13 @@ package scheduler
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/k8s"
 	"kubeknots/internal/knots"
+	"kubeknots/internal/obs"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/workloads"
 )
@@ -547,5 +549,84 @@ func TestLearnedProvisioningOverridesStatic(t *testing.T) {
 	other := static.upcomingMemSeries(workloads.RodiniaProfile(workloads.LUD))
 	if len(other) != 500 {
 		t.Fatalf("static upcoming series length = %d, want 500", len(other))
+	}
+}
+
+// mixedScenario builds a cluster of the given shape with residents on two
+// of every three devices (so free memory, correlation behaviour and SM load
+// differ per candidate) and the last node's monitor down (so its devices
+// are stale), warms six seconds of telemetry, and returns a pending queue
+// long enough to force several same-round commits.
+func mixedScenario(nodes, gpusPerNode, pods int) (*knots.Snapshot, []*k8s.Pod) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = nodes
+	cfg.GPUsPerNode = gpusPerNode
+	cl := cluster.New(cfg)
+	mon := knots.NewMonitor(cl, 0)
+	o := k8s.NewOrchestrator(sim.NewEngine(2), cl, Uniform{}, k8s.Config{})
+	r := &rig{cl: cl, mon: mon, agg: knots.NewAggregator(mon), eng: sim.NewEngine(1), o: o}
+	r.agg.StaleAfter = sim.Second
+	mon.SetNodeDown(nodes-1, true)
+	for i, g := range cl.GPUs() {
+		switch i % 3 {
+		case 0:
+			r.place(g, workloads.KMeans, 500+float64(i)*10)
+		case 1:
+			r.place(g, workloads.Myocyte, 3000)
+		}
+	}
+	snap := r.warm(6 * sim.Second)
+	names := workloads.RodiniaNames()
+	var queue []*k8s.Pod
+	for i := 0; i < pods; i++ {
+		if i%4 == 3 {
+			m := workloads.Inference(workloads.InferenceNames()[i%6])
+			queue = append(queue, r.pod(m.QueryProfile(8+i%32, false)))
+		} else {
+			queue = append(queue, r.pod(workloads.RodiniaProfile(names[i%len(names)])))
+		}
+	}
+	return snap, queue
+}
+
+// TestScheduleReusedInstance runs several rounds on one CBP and one PP
+// instance, repeating a snapshot and switching fleet sizes, and checks
+// every round against a fresh instance: the planner and scratch buffers
+// must carry nothing from one round into the next.
+func TestScheduleReusedInstance(t *testing.T) {
+	bigSnap, bigQueue := mixedScenario(5, 2, 14)
+	smallSnap, smallQueue := mixedScenario(3, 1, 6)
+	rounds := []struct {
+		snap  *knots.Snapshot
+		queue []*k8s.Pod
+	}{{bigSnap, bigQueue}, {bigSnap, bigQueue}, {smallSnap, smallQueue}, {bigSnap, bigQueue}}
+	for _, usePP := range []bool{false, true} {
+		newSched := func(tr obs.Tracer) k8s.Scheduler {
+			if usePP {
+				p := &PP{}
+				p.SetDecisionTracer(tr)
+				return p
+			}
+			c := &CBP{}
+			c.SetDecisionTracer(tr)
+			return c
+		}
+		reusedBuf := obs.NewBufTracer()
+		reused := newSched(reusedBuf)
+		for i, rd := range rounds {
+			freshBuf := obs.NewBufTracer()
+			want := newSched(freshBuf).Schedule(rd.snap.At, rd.queue, rd.snap)
+			if len(want) == 0 {
+				t.Fatalf("pp=%v round %d places nothing; the test is vacuous", usePP, i)
+			}
+			before := len(reusedBuf.Records())
+			got := reused.Schedule(rd.snap.At, rd.queue, rd.snap)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("pp=%v round %d decisions diverged:\n got %+v\nwant %+v", usePP, i, got, want)
+			}
+			if recs := reusedBuf.Records()[before:]; !reflect.DeepEqual(freshBuf.Records(), recs) {
+				t.Fatalf("pp=%v round %d decision traces diverged", usePP, i)
+			}
+		}
 	}
 }
