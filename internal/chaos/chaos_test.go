@@ -55,18 +55,18 @@ func TestParsePlanValues(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	bad := []string{
-		"bogus:mttf=1s,mttr=1s", // unknown kind
-		"node:mttf=1s",          // MTTR missing
+		"bogus:mttf=1s,mttr=1s",                     // unknown kind
+		"node:mttf=1s",                              // MTTR missing
 		"node:mttf=1s,mttr=1s;node:mttf=2s,mttr=2s", // duplicate clause
-		"node:mttf=-1s,mttr=1s",        // negative duration
-		"node:mttf=1s,mttr=1s,ttl=3s",  // unknown key
-		"node:mttf=1s,mttr=1s,mttf=2s", // duplicate key
-		"net:errors=1.5",               // rate out of range
-		"net:errors=NaN",               // NaN rate
-		"net:latency=100us",            // sub-millisecond
-		"node",                         // no colon
-		"node:",                        // no args
-		"node:mttf",                    // no '='
+		"node:mttf=-1s,mttr=1s",                     // negative duration
+		"node:mttf=1s,mttr=1s,ttl=3s",               // unknown key
+		"node:mttf=1s,mttr=1s,mttf=2s",              // duplicate key
+		"net:errors=1.5",                            // rate out of range
+		"net:errors=NaN",                            // NaN rate
+		"net:latency=100us",                         // sub-millisecond
+		"node",                                      // no colon
+		"node:",                                     // no args
+		"node:mttf",                                 // no '='
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec); err == nil {

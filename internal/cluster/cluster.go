@@ -94,6 +94,10 @@ type Observation struct {
 type GPU struct {
 	Node  int
 	Index int
+	// id is the "n<Node>/g<Index>" label, formatted once when the cluster
+	// builds the device so that ID, called on scheduling hot paths, never
+	// formats.
+	id string
 
 	// ModelName identifies the device spec in a heterogeneous pool
 	// (empty means the homogeneous default).
@@ -117,7 +121,10 @@ type GPU struct {
 }
 
 // ID returns a stable "node/gpu" identifier.
-func (g *GPU) ID() string { return fmt.Sprintf("n%d/g%d", g.Node, g.Index) }
+func (g *GPU) ID() string { return g.id }
+
+// gpuID formats the identifier ID returns.
+func gpuID(node, index int) string { return fmt.Sprintf("n%d/g%d", node, index) }
 
 // Asleep reports whether the device is parked in deep sleep.
 func (g *GPU) Asleep() bool { return g.asleep }
@@ -252,6 +259,7 @@ func New(cfg Config) *Cluster {
 			c.gpus = append(c.gpus, &GPU{
 				Node:       n,
 				Index:      i,
+				id:         gpuID(n, i),
 				MemCapMB:   cfg.MemCapMB,
 				PCIeMBps:   cfg.PCIeMBps,
 				power:      cfg.Power,

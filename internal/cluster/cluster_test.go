@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"kubeknots/internal/sim"
@@ -331,5 +332,27 @@ func TestRemoveUnknownContainerIsNoop(t *testing.T) {
 	g.Remove(cont("ghost", workloads.LUD)) // must not panic
 	if len(g.Containers()) != 0 {
 		t.Fatal("phantom container appeared")
+	}
+}
+
+// TestGPUIDMatchesNodeAndIndex checks the identifier formatted at
+// construction against the node/index it names, for a homogeneous and a
+// heterogeneous cluster.
+func TestGPUIDMatchesNodeAndIndex(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 5
+	cfg.GPUsPerNode = 3
+	for name, cl := range map[string]*Cluster{
+		"homogeneous": New(cfg),
+		"hetero":      NewHeterogeneous(cfg, HeterogeneousPool()),
+	} {
+		if len(cl.GPUs()) != 15 {
+			t.Fatalf("%s: %d GPUs, want 15", name, len(cl.GPUs()))
+		}
+		for _, g := range cl.GPUs() {
+			if want := fmt.Sprintf("n%d/g%d", g.Node, g.Index); g.ID() != want {
+				t.Fatalf("%s: ID() = %q, want %q", name, g.ID(), want)
+			}
+		}
 	}
 }

@@ -86,6 +86,7 @@ func NewHeterogeneous(cfg Config, specs []GPUSpec) *Cluster {
 			c.gpus = append(c.gpus, &GPU{
 				Node:       n,
 				Index:      i,
+				id:         gpuID(n, i),
 				ModelName:  spec.Model,
 				MemCapMB:   spec.MemCapMB,
 				PCIeMBps:   spec.PCIeMBps,

@@ -53,8 +53,6 @@ func eqSnapshots(t *testing.T, label string, want, got *Snapshot) {
 			}
 		}
 		eqSeries("MemSeries", i, w.MemSeries, g.MemSeries)
-		eqSeries("SMSeries", i, w.SMSeries, g.SMSeries)
-		eqSeries("BWSeries", i, w.BWSeries, g.BWSeries)
 	}
 }
 

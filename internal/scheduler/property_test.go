@@ -34,7 +34,7 @@ func randomSnapshot(rng *rand.Rand, cl *cluster.Cluster) *knots.Snapshot {
 		st.Obs.Containers = rng.Intn(4)
 		st.Obs.Asleep = rng.Intn(4) == 0
 		st.Stale = rng.Intn(6) == 0 // occasional degraded telemetry: stale path
-		n := rng.Intn(24) // 0..23 samples: below and above corrOK's minimum
+		n := rng.Intn(24)           // 0..23 samples: below and above corrOK's minimum
 		base := rng.Float64() * g.MemCapMB
 		slope := (rng.Float64() - 0.3) * 100
 		for i := 0; i < n; i++ {

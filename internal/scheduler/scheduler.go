@@ -57,10 +57,24 @@ func newAudit(tr obs.Tracer, now sim.Time, schedName string, pod *k8s.Pod, reser
 	}}
 }
 
-// step records one candidate-node gate outcome.
-func (a *audit) step(ct obs.CandidateTrace) {
+// step records one candidate-node gate outcome. It runs before the round
+// commits to the candidate, so the planner still holds the free memory,
+// planned SM and in-round commits the gates saw.
+func (a *audit) step(st *knots.GPUStat, pl *planner, ci int, v verdict) {
 	if a == nil {
 		return
+	}
+	ct := obs.CandidateTrace{
+		GPU:       st.GPU.ID(),
+		FreeMB:    pl.free[ci],
+		PlannedSM: pl.sm[ci],
+		Stale:     st.Stale,
+		Outcome:   v.outcome,
+		Rho:       optFloat(v.rho, v.rhoOK),
+	}
+	if v.predOK {
+		ct.ForecastMB = optFloat(v.pred, true)
+		ct.ForecastFreeMB = optFloat(st.GPU.MemCapMB-v.pred-pl.committed[ci], true)
 	}
 	a.rec.Candidates = append(a.rec.Candidates, ct)
 }
@@ -548,13 +562,19 @@ func (c *CBP) Schedule(now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot) [
 	return c.scheduleAlgo1(nil, "CBP", now, pending, snap)
 }
 
-// candEval is the outcome of evaluating one candidate device for one pod:
-// the admission verdict, the reservation to commit on admit, and the trace
-// step to record.
-type candEval struct {
+// verdict is the outcome of evaluating one candidate device for one pod:
+// the admission verdict, the reservation to commit on admit, the gate
+// outcome, and the Spearman ρ and forecast with flags saying whether the
+// gates computed them. The audit turns it into a trace step only when a
+// tracer is attached.
+type verdict struct {
 	admit   bool // the pod may be placed here
 	reserve float64
-	ct      obs.CandidateTrace
+	outcome string
+	rho     float64
+	rhoOK   bool
+	pred    float64
+	predOK  bool
 }
 
 // evalCandidate runs the Algorithm-1 gate sequence for one pod against one
@@ -562,63 +582,47 @@ type candEval struct {
 // commits); the round commits after the scan picks a device. pp non-nil
 // enables PP's forecast fallback when the correlation gate refuses; nil is
 // plain CBP.
-func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64, ci int, snap *knots.Snapshot, pl *planner) candEval {
+func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64, ci int, snap *knots.Snapshot, pl *planner) verdict {
 	st := &snap.Stats[ci]
-	g := st.GPU
 	free, planned := pl.free[ci], pl.sm[ci]
-	var ev candEval
 	if st.Stale {
 		// Degraded mode: no correlation, no forecast — a rotten window
 		// licenses neither. Conservative exclusive placement only.
 		if r, ok := c.staleAdmit(pod, st, pl, ci); ok {
-			ev.admit, ev.reserve = true, r
-			ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Stale: true, Outcome: obs.OutcomePlacedStale}
-			return ev
+			return verdict{admit: true, reserve: r, outcome: obs.OutcomePlacedStale}
 		}
-		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Stale: true, Outcome: obs.RejectStaleExclusive}
-		return ev
+		return verdict{outcome: obs.RejectStaleExclusive}
 	}
 	if free < reserve {
-		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: obs.RejectFreeMem}
-		return ev
+		return verdict{outcome: obs.RejectFreeMem}
 	}
 	if pod.Class == workloads.Batch && planned+peakSM > maxSM {
-		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: obs.RejectSMCap}
-		return ev
+		return verdict{outcome: obs.RejectSMCap}
 	}
 	if pod.Class == workloads.LatencyCritical && !c.lcFits(pod, planned) {
-		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: obs.RejectSLO}
-		return ev
+		return verdict{outcome: obs.RejectSLO}
 	}
-	if !k8s.FitsAffinity(pod, g, st.Resident) {
-		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: obs.RejectAffinity}
-		return ev
+	if !k8s.FitsAffinity(pod, st.GPU, st.Resident) {
+		return verdict{outcome: obs.RejectAffinity}
 	}
-	rho, rhoComputed, ok := c.corrCheck(pod, st)
+	v := verdict{reserve: reserve}
+	var ok bool
+	v.rho, v.rhoOK, ok = c.corrCheck(pod, st)
 	if ok {
 		// Algorithm 1: Can_Co-locate → Ship_Container.
-		ev.admit, ev.reserve = true, reserve
-		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: obs.OutcomePlaced, Rho: optFloat(rho, rhoComputed)}
-		return ev
+		v.admit, v.outcome = true, obs.OutcomePlaced
+		return v
 	}
 	if pp == nil {
-		ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: obs.RejectCorrelation, Rho: optFloat(rho, rhoComputed)}
-		return ev
+		v.outcome = obs.RejectCorrelation
+		return v
 	}
 	// Correlation gate failed: try the forecast path. A positive
 	// autocorrelation on the node's memory series licenses an AR(1)
 	// forecast; ship if predicted free memory — net of what this round
 	// already committed to the device — covers the pod's peak.
-	pred, predComputed, admit, outcome := pp.forecastCheck(st, pod.Profile.PeakMemMB(), pl.committed[ci])
-	ev.ct = obs.CandidateTrace{GPU: g.ID(), FreeMB: free, PlannedSM: planned, Outcome: outcome, Rho: optFloat(rho, rhoComputed)}
-	if predComputed {
-		ev.ct.ForecastMB = optFloat(pred, true)
-		ev.ct.ForecastFreeMB = optFloat(st.GPU.MemCapMB-pred-pl.committed[ci], true)
-	}
-	if admit {
-		ev.admit, ev.reserve = true, reserve
-	}
-	return ev
+	v.pred, v.predOK, v.admit, v.outcome = pp.forecastCheck(st, pod.Profile.PeakMemMB(), pl.committed[ci])
+	return v
 }
 
 // scheduleAlgo1 is the shared CBP/PP scheduling round: harvest-sorted pod
@@ -643,12 +647,12 @@ func (c *CBP) scheduleAlgo1(pp *PP, name string, now sim.Time, pending []*k8s.Po
 		rec := newAudit(c.Trace, now, name, pod, reserve, peakSM)
 		var placed *cluster.GPU
 		for _, ci := range pl.candidateOrder() {
-			ev := c.evalCandidate(pp, pod, reserve, peakSM, maxSM, ci, snap, pl)
-			rec.step(ev.ct)
-			if ev.admit {
+			v := c.evalCandidate(pp, pod, reserve, peakSM, maxSM, ci, snap, pl)
+			rec.step(&snap.Stats[ci], pl, ci, v)
+			if v.admit {
 				g := snap.Stats[ci].GPU
-				out = append(out, k8s.Decision{Pod: pod, GPU: g, ReserveMB: ev.reserve})
-				pl.commit(ci, ev.reserve, peakSM)
+				out = append(out, k8s.Decision{Pod: pod, GPU: g, ReserveMB: v.reserve})
+				pl.commit(ci, v.reserve, peakSM)
 				placed = g
 				break
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kubeknots/internal/k8s"
+	"kubeknots/internal/knots"
 	"kubeknots/internal/obs"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/workloads"
@@ -138,8 +139,9 @@ func TestPPTraceUnplacedPod(t *testing.T) {
 }
 
 // TestTracingDoesNotAlterDecisions is the determinism guard at the scheduler
-// level: the same snapshot and queue must yield identical decisions with and
-// without a tracer attached.
+// level: attaching a decision tracer must not change a single placement. The
+// traced CBP and PP rounds must also record every candidate each pod was
+// tried on, with its GPU ID, and the ρ and forecast the gates computed.
 func TestTracingDoesNotAlterDecisions(t *testing.T) {
 	r := newRig(3)
 	r.place(r.cl.GPUs()[0], workloads.KMeans, 3000)
@@ -151,25 +153,98 @@ func TestTracingDoesNotAlterDecisions(t *testing.T) {
 		r.pod(workloads.Inference(workloads.Face).QueryProfile(1, false)),
 		r.pod(workloads.RodiniaProfile(workloads.MummerGPU)),
 	}
+	byName := make(map[string]*k8s.Pod)
+	for _, pod := range pods {
+		byName[pod.Name] = pod
+	}
+	statOf := make(map[string]*knots.GPUStat)
+	for i := range snap.Stats {
+		statOf[snap.Stats[i].GPU.ID()] = &snap.Stats[i]
+	}
 	type key struct {
 		pod     string
 		gpu     string
 		reserve float64
 	}
-	run := func(tr obs.Tracer) []key {
-		p := PP{CBP: CBP{Trace: tr}}
+	run := func(pp bool, tr obs.Tracer) []key {
+		var s k8s.Scheduler = &CBP{Trace: tr}
+		if pp {
+			s = &PP{CBP: CBP{Trace: tr}}
+		}
 		var out []key
-		for _, d := range p.Schedule(snap.At, pods, snap) {
+		for _, d := range s.Schedule(snap.At, pods, snap) {
 			out = append(out, key{d.Pod.Name, d.GPU.ID(), d.ReserveMB})
 		}
 		return out
 	}
-	plain := run(nil)
-	traced := run(obs.NewBufTracer())
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("tracing changed decisions:\nplain  %+v\ntraced %+v", plain, traced)
-	}
-	if len(plain) == 0 {
-		t.Fatal("scenario placed nothing; test is vacuous")
+	for _, pp := range []bool{false, true} {
+		plain := run(pp, nil)
+		buf := obs.NewBufTracer()
+		traced := run(pp, buf)
+		if !reflect.DeepEqual(plain, traced) {
+			t.Fatalf("pp=%v: tracing changed decisions:\nplain  %+v\ntraced %+v", pp, plain, traced)
+		}
+		if len(plain) == 0 {
+			t.Fatalf("pp=%v: scenario placed nothing; test is vacuous", pp)
+		}
+		recs := buf.Records()
+		if len(recs) != len(pods) {
+			t.Fatalf("pp=%v: %d records, want one per pod (%d)", pp, len(recs), len(pods))
+		}
+		// An independent scheduler recomputes each gate value the trace shows.
+		ref := &PP{}
+		var rhos, forecasts int
+		for _, rec := range recs {
+			pod := byName[rec.Pod]
+			if pod == nil || len(rec.Candidates) == 0 {
+				t.Fatalf("pp=%v: record for unknown pod or with no candidates: %+v", pp, rec)
+			}
+			if !rec.Placed && len(rec.Candidates) != len(snap.Stats) {
+				t.Fatalf("pp=%v: unplaced %s tried %d candidates, want all %d", pp, rec.Pod, len(rec.Candidates), len(snap.Stats))
+			}
+			if rec.Placed && rec.Candidates[len(rec.Candidates)-1].GPU != rec.GPU {
+				t.Fatalf("pp=%v: %s placed on %s but its last candidate is %+v", pp, rec.Pod, rec.GPU, rec.Candidates[len(rec.Candidates)-1])
+			}
+			seen := make(map[string]bool)
+			for _, ct := range rec.Candidates {
+				st := statOf[ct.GPU]
+				if st == nil || seen[ct.GPU] {
+					t.Fatalf("pp=%v: %s candidate GPU %q unknown or repeated", pp, rec.Pod, ct.GPU)
+				}
+				seen[ct.GPU] = true
+				switch ct.Outcome {
+				case obs.OutcomePlaced, obs.RejectCorrelation, obs.OutcomePlacedForecast, obs.RejectForecastShort:
+					rho, computed, _ := ref.corrCheck(pod, st)
+					if (ct.Rho != nil) != computed || (computed && *ct.Rho != rho) {
+						t.Fatalf("pp=%v: %s on %s: traced ρ %v, gate computed (%v, %v)", pp, rec.Pod, ct.GPU, ct.Rho, rho, computed)
+					}
+					if ct.Rho != nil {
+						rhos++
+					}
+				default:
+					if ct.Rho != nil {
+						t.Fatalf("pp=%v: %s on %s: ρ recorded on a %s rejection", pp, rec.Pod, ct.GPU, ct.Outcome)
+					}
+				}
+				switch ct.Outcome {
+				case obs.OutcomePlacedForecast, obs.RejectForecastShort:
+					pred, computed, _, _ := ref.forecastCheck(st, pod.Profile.PeakMemMB(), 0)
+					if (ct.ForecastMB != nil) != computed || (ct.ForecastFreeMB != nil) != computed ||
+						(computed && *ct.ForecastMB != pred) {
+						t.Fatalf("pp=%v: %s on %s: traced forecast %+v, gate computed (%v, %v)", pp, rec.Pod, ct.GPU, ct, pred, computed)
+					}
+					if computed {
+						forecasts++
+					}
+				default:
+					if ct.ForecastMB != nil || ct.ForecastFreeMB != nil {
+						t.Fatalf("pp=%v: %s on %s: forecast recorded on outcome %s", pp, rec.Pod, ct.GPU, ct.Outcome)
+					}
+				}
+			}
+		}
+		if rhos == 0 || (pp && forecasts == 0) {
+			t.Fatalf("pp=%v: trace carries %d ρ values and %d forecasts; test is vacuous", pp, rhos, forecasts)
+		}
 	}
 }

@@ -17,18 +17,18 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(fuzzHeader +
 		"0,batch,0,1000,10.00,20.00,5.00,9.00\n" +
 		"1,latency-critical,500,200,1.00,2.00,3.00,4.00\n"))
-	f.Add([]byte(fuzzHeader))                                          // header only
-	f.Add([]byte(""))                                                  // empty input
-	f.Add([]byte("\n\n\n"))                                            // blank lines
-	f.Add([]byte(fuzzHeader + "0,batch,0,1000\n"))                     // short row
-	f.Add([]byte(fuzzHeader + "0,gpu,0,1,1,1,1,1\n"))                  // unknown kind
-	f.Add([]byte(fuzzHeader + "0,batch,-5,1,1,1,1,1\n"))               // negative arrival
-	f.Add([]byte(fuzzHeader + "0,batch,1,-5,1,1,1,1\n"))               // negative duration
-	f.Add([]byte(fuzzHeader + "0,batch,1,1,NaN,1,1,1\n"))              // NaN percent
-	f.Add([]byte(fuzzHeader + "0,batch,1,1,1,1,1,250\n"))              // percent > 100
+	f.Add([]byte(fuzzHeader))                                                               // header only
+	f.Add([]byte(""))                                                                       // empty input
+	f.Add([]byte("\n\n\n"))                                                                 // blank lines
+	f.Add([]byte(fuzzHeader + "0,batch,0,1000\n"))                                          // short row
+	f.Add([]byte(fuzzHeader + "0,gpu,0,1,1,1,1,1\n"))                                       // unknown kind
+	f.Add([]byte(fuzzHeader + "0,batch,-5,1,1,1,1,1\n"))                                    // negative arrival
+	f.Add([]byte(fuzzHeader + "0,batch,1,-5,1,1,1,1\n"))                                    // negative duration
+	f.Add([]byte(fuzzHeader + "0,batch,1,1,NaN,1,1,1\n"))                                   // NaN percent
+	f.Add([]byte(fuzzHeader + "0,batch,1,1,1,1,1,250\n"))                                   // percent > 100
 	f.Add([]byte(fuzzHeader + "0,batch,9223372036854775807,9223372036854775807,1,1,1,1\n")) // end-time overflow
-	f.Add([]byte(fuzzHeader + "x,batch,1,1,1,1,1,1\n"))                // non-numeric id
-	f.Add([]byte("not,a,trace\n1,2,3\n"))                              // wrong header
+	f.Add([]byte(fuzzHeader + "x,batch,1,1,1,1,1,1\n"))                                     // non-numeric id
+	f.Add([]byte("not,a,trace\n1,2,3\n"))                                                   // wrong header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadCSV(bytes.NewReader(data))

@@ -43,6 +43,25 @@ func (s *series) append(p Point) {
 
 func (s *series) at(i int) Point { return s.buf[(s.start+i)%len(s.buf)] }
 
+// segments returns the logical points [lo, hi) as at most two contiguous
+// runs of the ring, oldest first: the run up to the end of buf, then the
+// run that wrapped to buf[0]. Reads walk these as plain slices instead of
+// paying a modulo per point in at.
+func (s *series) segments(lo, hi int) (first, second []Point) {
+	if lo >= hi {
+		return nil, nil
+	}
+	c := len(s.buf)
+	i, j := s.start+lo, s.start+hi
+	switch {
+	case i >= c:
+		return s.buf[i-c : j-c], nil
+	case j <= c:
+		return s.buf[i:j], nil
+	}
+	return s.buf[i:], s.buf[:j-c]
+}
+
 // windowBounds returns the half-open logical index range [lo, hi) of points
 // with from ≤ At ≤ to. Both binary searches run on the ring in place, so
 // locating a window never allocates.
@@ -57,9 +76,20 @@ func (s *series) windowBounds(from, to sim.Time) (lo, hi int) {
 
 // windowAppend appends the points of [from, to] to dst, oldest first.
 func (s *series) windowAppend(dst []Point, from, to sim.Time) []Point {
-	lo, hi := s.windowBounds(from, to)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, s.at(i))
+	first, second := s.segments(s.windowBounds(from, to))
+	dst = append(dst, first...)
+	return append(dst, second...)
+}
+
+// valuesAppend appends the values of the points of [from, to] to dst,
+// oldest first.
+func (s *series) valuesAppend(dst []float64, from, to sim.Time) []float64 {
+	first, second := s.segments(s.windowBounds(from, to))
+	for _, p := range first {
+		dst = append(dst, p.Value)
+	}
+	for _, p := range second {
+		dst = append(dst, p.Value)
 	}
 	return dst
 }
@@ -77,11 +107,10 @@ func (s *series) lastN(n int) []Point {
 	if n > s.n {
 		n = s.n
 	}
+	first, second := s.segments(s.n-n, s.n)
 	out := make([]Point, 0, n)
-	for i := s.n - n; i < s.n; i++ {
-		out = append(out, s.at(i))
-	}
-	return out
+	out = append(out, first...)
+	return append(out, second...)
 }
 
 // DB is a multi-series time-series store.
@@ -159,11 +188,7 @@ func (db *DB) Values(name string, from, to sim.Time) []float64 {
 	if lo == hi {
 		return nil
 	}
-	out := make([]float64, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, s.at(i).Value)
-	}
-	return out
+	return s.valuesAppend(make([]float64, 0, hi-lo), from, to)
 }
 
 // ValuesInto appends the sample values of the window onto dst and returns the
@@ -176,11 +201,7 @@ func (db *DB) ValuesInto(dst []float64, name string, from, to sim.Time) []float6
 	if s == nil {
 		return dst
 	}
-	lo, hi := s.windowBounds(from, to)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, s.at(i).Value)
-	}
-	return dst
+	return s.valuesAppend(dst, from, to)
 }
 
 // Last returns the most recent point of name.
@@ -253,21 +274,22 @@ func (db *DB) DownsampleInto(dst []Point, name string, from, to, bucket sim.Time
 	if bucket <= 0 {
 		return s.windowAppend(dst, from, to)
 	}
-	lo, hi := s.windowBounds(from, to)
+	first, second := s.segments(s.windowBounds(from, to))
 	bStart := from
 	var sum float64
 	var cnt int
-	for i := lo; i < hi; i++ {
-		p := s.at(i)
-		for p.At >= bStart+bucket {
-			if cnt > 0 {
-				dst = append(dst, Point{At: bStart, Value: sum / float64(cnt)})
-				sum, cnt = 0, 0
+	for _, seg := range [2][]Point{first, second} {
+		for _, p := range seg {
+			for p.At >= bStart+bucket {
+				if cnt > 0 {
+					dst = append(dst, Point{At: bStart, Value: sum / float64(cnt)})
+					sum, cnt = 0, 0
+				}
+				bStart += bucket
 			}
-			bStart += bucket
+			sum += p.Value
+			cnt++
 		}
-		sum += p.Value
-		cnt++
 	}
 	if cnt > 0 {
 		dst = append(dst, Point{At: bStart, Value: sum / float64(cnt)})

@@ -288,3 +288,133 @@ func TestDownsampleIntoMatchesDownsample(t *testing.T) {
 		}
 	}
 }
+
+// refModel is the plain-slice reference a series must agree with: the full
+// accepted history, trimmed to the ring capacity.
+type refModel struct {
+	capacity int
+	pts      []Point
+}
+
+func (r *refModel) append(p Point) {
+	if n := len(r.pts); n > 0 && r.pts[n-1].At > p.At {
+		return
+	}
+	r.pts = append(r.pts, p)
+	if len(r.pts) > r.capacity {
+		r.pts = r.pts[len(r.pts)-r.capacity:]
+	}
+}
+
+func (r *refModel) window(from, to sim.Time) []Point {
+	var out []Point
+	for _, p := range r.pts {
+		if p.At >= from && p.At <= to {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// downsample buckets the window by index k = (At-from)/bucket, summing
+// left to right, and stamps each non-empty bucket at from + k·bucket.
+func (r *refModel) downsample(from, to, bucket sim.Time) []Point {
+	win := r.window(from, to)
+	if bucket <= 0 {
+		return win
+	}
+	var out []Point
+	for i := 0; i < len(win); {
+		k := (win[i].At - from) / bucket
+		var sum float64
+		cnt := 0
+		for ; i < len(win) && (win[i].At-from)/bucket == k; i++ {
+			sum += win[i].Value
+			cnt++
+		}
+		out = append(out, Point{At: from + k*bucket, Value: sum / float64(cnt)})
+	}
+	return out
+}
+
+func samePoints(t *testing.T, what string, got, want []Point) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, want %d\n got %v\nwant %v", what, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: point %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestRingReadsMatchReferenceModel checks every windowed read against the
+// reference model after each append of a fill that wraps a small ring many
+// times. The windows are every [lo, hi] pair of retained points plus ones
+// reaching past both ends, so they include windows straddling the physical
+// wrap point, reads at start == 0, the full ring, and bucket 0.
+func TestRingReadsMatchReferenceModel(t *testing.T) {
+	const capacity = 7
+	rng := rand.New(rand.NewSource(17))
+	db := New(capacity)
+	ref := &refModel{capacity: capacity}
+	var straddles, startZeroFull int
+	at := sim.Time(10)
+	for step := 0; step < 10*capacity; step++ {
+		at += sim.Time(rng.Intn(4)) // repeats allowed
+		p := Point{At: at, Value: rng.Float64() * 100}
+		if rng.Intn(10) == 0 {
+			p.At -= 5 // out of order: dropped by both
+		}
+		db.Append("m", p.At, p.Value)
+		ref.append(p)
+
+		s := db.data["m"]
+		if s.n == capacity && s.start == 0 {
+			startZeroFull++
+		}
+		n := len(ref.pts)
+		if db.Len("m") != n {
+			t.Fatalf("step %d: Len = %d, want %d", step, db.Len("m"), n)
+		}
+		for k := 0; k <= n+1; k++ {
+			samePoints(t, fmt.Sprintf("step %d LastN(%d)", step, k), db.LastN("m", k), ref.pts[max(0, n-k):])
+		}
+		type span struct{ from, to sim.Time }
+		spans := []span{{0, at + 100}, {at + 1, at + 100}}
+		for lo := 0; lo < n; lo++ {
+			for hi := lo; hi < n; hi++ {
+				spans = append(spans, span{ref.pts[lo].At, ref.pts[hi].At})
+				if s.start+lo < capacity && s.start+hi >= capacity {
+					straddles++
+				}
+			}
+		}
+		var pts []Point
+		var vals []float64
+		for _, w := range spans {
+			want := ref.window(w.from, w.to)
+			what := fmt.Sprintf("step %d [%d, %d]", step, w.from, w.to)
+			samePoints(t, what+" Window", db.Window("m", w.from, w.to), want)
+			pts = db.WindowAppend(pts[:0], "m", w.from, w.to)
+			samePoints(t, what+" WindowAppend", pts, want)
+			vals = db.ValuesInto(vals[:0], "m", w.from, w.to)
+			if len(vals) != len(want) {
+				t.Fatalf("%s ValuesInto: %d values, want %d", what, len(vals), len(want))
+			}
+			for i := range want {
+				if vals[i] != want[i].Value {
+					t.Fatalf("%s ValuesInto: value %d = %v, want %v", what, i, vals[i], want[i].Value)
+				}
+			}
+			for _, bucket := range []sim.Time{0, 1, 2, 5, 1000} {
+				pts = db.DownsampleInto(pts[:0], "m", w.from, w.to, bucket)
+				samePoints(t, fmt.Sprintf("%s DownsampleInto(bucket %d)", what, bucket), pts, ref.downsample(w.from, w.to, bucket))
+			}
+		}
+	}
+	if straddles == 0 || startZeroFull == 0 {
+		t.Fatalf("fill never exercised the wrap: %d straddling windows, %d full reads at start 0", straddles, startZeroFull)
+	}
+}
