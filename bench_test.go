@@ -296,6 +296,46 @@ func BenchmarkAggregatorSnapshot(b *testing.B) {
 	}
 }
 
+func BenchmarkAggregatorSnapshot10ms(b *testing.B) {
+	// fig9's cadence: a 10 ms heartbeat fills each 78 ms bucket with 7-8
+	// points, so the per-device memos serve most buckets of every rebuild
+	// (the 100 ms benchmarks above have one point per bucket and never use
+	// them). Every node is sampled between snapshots, so every node is
+	// rebuilt.
+	cl := cluster.New(cluster.DefaultConfig())
+	mon := knots.NewMonitor(cl, 0)
+	now := sim.Time(0)
+	for hb := 0; hb < 600; hb++ {
+		now += 10 * sim.Millisecond
+		mon.Sample(now)
+	}
+	agg := knots.NewAggregator(mon)
+	agg.Snapshot(now)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now += 10 * sim.Millisecond
+		mon.Sample(now)
+		agg.Snapshot(now)
+	}
+}
+
+func BenchmarkMonitorSample(b *testing.B) {
+	// One heartbeat of the node monitor: every device's five counters into
+	// its node database, one locked row per device. The first heartbeat
+	// creates the series, so it runs before the timer.
+	cl := cluster.New(cluster.DefaultConfig())
+	mon := knots.NewMonitor(cl, 0)
+	now := sim.Time(0)
+	mon.Sample(now)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now += 10 * sim.Millisecond
+		mon.Sample(now)
+	}
+}
+
 func BenchmarkAggregatorSnapshotReplay(b *testing.B) {
 	// Best case: nothing changed since the last snapshot, so every node is
 	// served from its cache (the same-instant replay the scheduler hits

@@ -28,91 +28,81 @@ const (
 // Metrics lists the five recorded metric names.
 var Metrics = []string{MetricSM, MetricMem, MetricPower, MetricTx, MetricRx}
 
+// numMetrics is len(Metrics), and memIdx is MetricMem's position in it and
+// in a device's series-ID row.
+const (
+	numMetrics = 5
+	memIdx     = 1
+)
+
 // seriesName keys a GPU metric within its node's database.
 func seriesName(g *cluster.GPU, metric string) string {
 	return fmt.Sprintf("g%d/%s", g.Index, metric)
 }
 
-// gpuKeys holds one device's five pre-formatted series keys. Formatting them
-// on every heartbeat (5 × fmt.Sprintf per GPU) was the single largest
-// allocation source in a scheduling round; the monitor builds this table once
-// at construction instead.
-type gpuKeys struct {
-	sm, mem, power, tx, rx string
-}
-
-func newGPUKeys(g *cluster.GPU) *gpuKeys {
-	return &gpuKeys{
-		sm:    seriesName(g, MetricSM),
-		mem:   seriesName(g, MetricMem),
-		power: seriesName(g, MetricPower),
-		tx:    seriesName(g, MetricTx),
-		rx:    seriesName(g, MetricRx),
-	}
-}
-
-func (k *gpuKeys) key(metric string) string {
-	switch metric {
-	case MetricSM:
-		return k.sm
-	case MetricMem:
-		return k.mem
-	case MetricPower:
-		return k.power
-	case MetricTx:
-		return k.tx
-	case MetricRx:
-		return k.rx
-	}
-	return ""
-}
-
 // Monitor is the per-node sampling daemon (one logical instance serves the
 // whole simulated cluster, holding one DB per node as the paper holds one
 // InfluxDB per worker).
+//
+// Per-device state is indexed by the device's position in Cluster.GPUs()
+// and per-node state by node number; construction lays devices out
+// node-major, so a device's position is Node·GPUsPerNode + Index.
 type Monitor struct {
 	Cluster *cluster.Cluster
-	dbs     map[int]*tsdb.DB
-	keys    map[*cluster.GPU]*gpuKeys // pre-formatted series names
+	dbs     []*tsdb.DB // by node; nil for a node without devices
+	// ids holds each device's five series IDs in Metrics order, resolved
+	// once here so that a heartbeat neither formats nor hashes a name. The
+	// series themselves are created by their first append.
+	ids [][numMetrics]tsdb.SeriesID
 
 	// mu guards the liveness state below; the sampling DBs lock themselves.
 	mu         sync.RWMutex
-	down       map[int]bool
-	lastSample map[int]sim.Time
-	lastObs    map[*cluster.GPU]cluster.Observation
-	seq        map[int]uint64 // per-node append sequence; bumps on every sample
+	down       []bool                // by node
+	lastSample []sim.Time            // by node; valid once seq > 0
+	seq        []uint64              // by node: append sequence, bumps on every sample
+	lastObs    []cluster.Observation // by device; valid once its node's seq > 0
 }
 
 // NewMonitor creates a monitor with one node-local DB per node; capacity is
 // the per-series ring size (0 = tsdb.DefaultCapacity).
 func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
+	gpus := cl.GPUs()
+	nodes := 0
+	for _, g := range gpus {
+		nodes = max(nodes, g.Node+1)
+	}
 	m := &Monitor{
 		Cluster:    cl,
-		dbs:        make(map[int]*tsdb.DB),
-		keys:       make(map[*cluster.GPU]*gpuKeys),
-		down:       make(map[int]bool),
-		lastSample: make(map[int]sim.Time),
-		lastObs:    make(map[*cluster.GPU]cluster.Observation),
-		seq:        make(map[int]uint64),
+		dbs:        make([]*tsdb.DB, nodes),
+		ids:        make([][numMetrics]tsdb.SeriesID, len(gpus)),
+		down:       make([]bool, nodes),
+		lastSample: make([]sim.Time, nodes),
+		seq:        make([]uint64, nodes),
+		lastObs:    make([]cluster.Observation, len(gpus)),
 	}
-	for _, g := range cl.GPUs() {
+	for i, g := range gpus {
+		if m.pos(g) != i {
+			panic(fmt.Sprintf("knots: device %s is not laid out node-major", g.ID()))
+		}
 		if m.dbs[g.Node] == nil {
 			m.dbs[g.Node] = tsdb.New(capacity)
 		}
-		m.keys[g] = newGPUKeys(g)
+		for k, metric := range Metrics {
+			m.ids[i][k] = m.dbs[g.Node].ID(seriesName(g, metric))
+		}
 	}
 	return m
 }
 
-// seriesKey returns the cached series name for a device metric, formatting
-// fresh only for devices unknown at construction (there are none in practice).
-func (m *Monitor) seriesKey(g *cluster.GPU, metric string) string {
-	if k := m.keys[g]; k != nil {
-		if s := k.key(metric); s != "" {
-			return s
-		}
+// pos returns a device's position in Cluster.GPUs(), or -1 for a device
+// that is not this cluster's.
+func (m *Monitor) pos(g *cluster.GPU) int {
+	gpus := m.Cluster.GPUs()
+	i := g.Node*m.Cluster.Cfg.GPUsPerNode + g.Index
+	if g.Node < 0 || g.Index < 0 || i >= len(gpus) || gpus[i] != g {
+		return -1
 	}
-	return seriesName(g, metric)
+	return i
 }
 
 // Sample records every GPU's current Observation into its node database.
@@ -123,25 +113,17 @@ func (m *Monitor) Sample(now sim.Time) {
 	defer m.mu.Unlock()
 	mHeartbeats.Inc()
 	sampled := 0
-	for _, g := range m.Cluster.GPUs() {
-		if m.down[g.Node] {
+	for i, g := range m.Cluster.GPUs() {
+		node := g.Node
+		if m.down[node] {
 			continue
 		}
-		db := m.dbs[g.Node]
 		o := g.Obs
-		// keys is immutable after construction, so lock-free reads are safe.
-		k := m.keys[g]
-		if k == nil {
-			k = newGPUKeys(g)
-		}
-		db.Append(k.sm, now, o.SMPct)
-		db.Append(k.mem, now, o.MemUsedMB)
-		db.Append(k.power, now, o.PowerW)
-		db.Append(k.tx, now, o.TxMBps)
-		db.Append(k.rx, now, o.RxMBps)
-		m.lastSample[g.Node] = now
-		m.lastObs[g] = o
-		m.seq[g.Node]++
+		row := [numMetrics]float64{o.SMPct, o.MemUsedMB, o.PowerW, o.TxMBps, o.RxMBps}
+		m.dbs[node].AppendRow(m.ids[i][:], now, row[:])
+		m.lastSample[node] = now
+		m.lastObs[i] = o
+		m.seq[node]++
 		sampled++
 	}
 	mGPUSamples.Add(float64(sampled))
@@ -150,22 +132,24 @@ func (m *Monitor) Sample(now sim.Time) {
 // SampleSeq returns a node's append sequence number: it advances every time
 // the node is sampled, so an unchanged sequence guarantees the node's
 // databases hold exactly the points they held before. The aggregator's
-// per-node dirty tracking keys off it.
+// per-node dirty tracking keys off it. Unknown nodes report 0.
 func (m *Monitor) SampleSeq(node int) uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if uint(node) >= uint(len(m.seq)) {
+		return 0
+	}
 	return m.seq[node]
 }
 
 // SetNodeDown marks one node's monitor down (true) or back up (false).
-// While down the node is not sampled, so its telemetry goes stale.
+// While down the node is not sampled, so its telemetry goes stale. Nodes
+// without devices have no monitor, so marking them is a no-op.
 func (m *Monitor) SetNodeDown(node int, down bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if down {
-		m.down[node] = true
-	} else {
-		delete(m.down, node)
+	if uint(node) < uint(len(m.down)) {
+		m.down[node] = down
 	}
 }
 
@@ -173,36 +157,49 @@ func (m *Monitor) SetNodeDown(node int, down bool) {
 func (m *Monitor) NodeDown(node int) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.down[node]
+	return uint(node) < uint(len(m.down)) && m.down[node]
 }
 
 // LastSample returns when a node last reported, and whether it ever has.
 func (m *Monitor) LastSample(node int) (sim.Time, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	at, ok := m.lastSample[node]
-	return at, ok
+	if uint(node) >= uint(len(m.seq)) || m.seq[node] == 0 {
+		return 0, false
+	}
+	return m.lastSample[node], true
 }
 
 // LastObs returns a device's last sampled observation — what a stale head
 // node still believes about it.
 func (m *Monitor) LastObs(g *cluster.GPU) (cluster.Observation, bool) {
+	i := m.pos(g)
+	if i < 0 {
+		return cluster.Observation{}, false
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	o, ok := m.lastObs[g]
-	return o, ok
+	if m.seq[g.Node] == 0 {
+		return cluster.Observation{}, false
+	}
+	return m.lastObs[i], true
 }
 
-// NodeDB exposes a node's time-series database.
-func (m *Monitor) NodeDB(node int) *tsdb.DB { return m.dbs[node] }
+// NodeDB exposes a node's time-series database (nil for an unknown node).
+func (m *Monitor) NodeDB(node int) *tsdb.DB {
+	if uint(node) >= uint(len(m.dbs)) {
+		return nil
+	}
+	return m.dbs[node]
+}
 
 // Series returns the trailing window of one GPU metric, oldest first.
 func (m *Monitor) Series(g *cluster.GPU, metric string, now, window sim.Time) []float64 {
-	db := m.dbs[g.Node]
+	db := m.NodeDB(g.Node)
 	if db == nil {
 		return nil
 	}
-	return db.Values(m.seriesKey(g, metric), now-window, now)
+	return db.Values(seriesName(g, metric), now-window, now)
 }
 
 // GPUStat is the aggregator's per-device view handed to schedulers.
@@ -289,6 +286,13 @@ type Aggregator struct {
 	// series, same binding state) reuses its cached stats wholesale, making
 	// heartbeat cost proportional to *changed* nodes — see DESIGN.md §7.
 	caches map[int]*nodeCache
+
+	// memos holds one downsampling memo per device, by position in
+	// Cluster.GPUs(): a rebuild re-sums only the buckets it has not summed
+	// before (tsdb.Memo). memoHits and memoComputed count one snapshot's
+	// buckets for the knots_snapshot_buckets_* counters.
+	memos                  []tsdb.Memo
+	memoHits, memoComputed int
 }
 
 // nodeCache is one node's last-built snapshot contribution plus everything
@@ -365,6 +369,10 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		a.caches = make(map[int]*nodeCache)
 	}
 	cl := a.Monitor.Cluster
+	if len(a.memos) != len(cl.GPUs()) {
+		a.memos = make([]tsdb.Memo, len(cl.GPUs()))
+	}
+	a.memoHits, a.memoComputed = 0, 0
 	var hits, rebuilds int
 	for node := 0; node < cl.Cfg.Nodes; node++ {
 		gpus := cl.NodeGPUs(node)
@@ -400,6 +408,8 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 	}
 	mNodeCacheHits.Add(float64(hits))
 	mNodeRebuilds.Add(float64(rebuilds))
+	mBucketMemoHits.Add(float64(a.memoHits))
+	mBucketsComputed.Add(float64(a.memoComputed))
 	snap.Stats = a.stats
 	snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
 	if len(snap.DeadNodes) == 0 {
@@ -519,7 +529,7 @@ func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, no
 			// node's telemetry is not.
 			FreeReservableMB: g.FreeReservableMB(),
 			Resident:         c.conts[res0:len(c.conts):len(c.conts)],
-			MemSeries:        a.nodeSeriesInto(c, g, MetricMem, now, w, maxPts),
+			MemSeries:        a.memSeriesInto(c, g, now, w, maxPts),
 			Stale:            stale,
 		}
 		if len(st.MemSeries) > 0 {
@@ -529,19 +539,24 @@ func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, no
 	}
 }
 
-// nodeSeriesInto appends the (possibly downsampled) trailing window of one
-// metric onto the node cache's value arena and returns the appended
+// memSeriesInto appends the (possibly downsampled) trailing memory window
+// of one device onto the node cache's value arena and returns the appended
 // sub-slice, capacity-capped so later arena growth cannot clobber it. The
 // sub-slice stays valid until the node's next rebuild — which is exactly as
 // long as the cache may serve it.
-func (a *Aggregator) nodeSeriesInto(c *nodeCache, g *cluster.GPU, metric string, now, w sim.Time, maxPts int) []float64 {
+func (a *Aggregator) memSeriesInto(c *nodeCache, g *cluster.GPU, now, w sim.Time, maxPts int) []float64 {
+	i := a.Monitor.pos(g)
 	db := a.Monitor.NodeDB(g.Node)
-	if db == nil {
+	if i < 0 || db == nil {
 		return nil
 	}
 	start := len(c.vals)
 	bucket := w / sim.Time(maxPts)
-	a.pts = db.DownsampleInto(a.pts[:0], a.Monitor.seriesKey(g, metric), now-w, now, bucket)
+	memo := &a.memos[i]
+	a.pts = db.DownsampleMemo(a.pts[:0], a.Monitor.ids[i][memIdx], now-w, now, bucket, memo)
+	a.memoHits += memo.Hits
+	a.memoComputed += memo.Computed
+	memo.Hits, memo.Computed = 0, 0
 	for _, p := range a.pts {
 		c.vals = append(c.vals, p.Value)
 	}

@@ -27,6 +27,10 @@ func TestMonitorSamplesFiveMetrics(t *testing.T) {
 	if len(names) != len(Metrics) {
 		t.Fatalf("series per node = %d, want %d (%v)", len(names), len(Metrics), names)
 	}
+	// The monitor's ID rows are laid out in Metrics order.
+	if numMetrics != len(Metrics) || Metrics[memIdx] != MetricMem {
+		t.Fatalf("numMetrics = %d, Metrics[memIdx] = %q; want %d, %q", numMetrics, Metrics[memIdx], len(Metrics), MetricMem)
+	}
 }
 
 func TestMonitorSeriesWindow(t *testing.T) {

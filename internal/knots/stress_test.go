@@ -2,12 +2,14 @@ package knots
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/sim"
+	"kubeknots/internal/tsdb"
 	"kubeknots/internal/workloads"
 )
 
@@ -184,6 +186,95 @@ func TestSnapshotRacesNodeDeathRevival(t *testing.T) {
 	for _, st := range snap.Stats {
 		if st.Stale {
 			t.Fatalf("node %d still stale after revival", st.GPU.Node)
+		}
+	}
+}
+
+// TestSnapshotMemosRaceAppendRow runs the monitor's row appends, plus a
+// second writer appending rows of its own series into the same node
+// databases, against two aggregators that each read through their own
+// per-device memos. Run under -race. Afterwards every aggregator's memory
+// series must still match a plain DownsampleInto of the same window bit for
+// bit: entries written while the rings moved under them stay exact.
+func TestSnapshotMemosRaceAppendRow(t *testing.T) {
+	const steps = 300
+	cl := twoPerNodeCluster()
+	mon := NewMonitor(cl, 0)
+	prof := workloads.RodiniaProfile(workloads.KMeans)
+	c := &cluster.Container{ID: "a", Class: prof.Class, Inst: prof.NewInstance(nil)}
+	if err := cl.GPUs()[1].Place(0, c, 3000); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the five-second window serially, ticking the cluster so the
+	// memory series vary; the concurrent phase only appends and reads.
+	now := sim.Time(0)
+	for ; now < 6*sim.Second; now += 10 * sim.Millisecond {
+		cl.Tick(now, 10*sim.Millisecond)
+		mon.Sample(now)
+	}
+	extra := make([][]tsdb.SeriesID, 3)
+	for node := range extra {
+		for _, name := range []string{"x/a", "x/b", "x/c"} {
+			extra[node] = append(extra[node], mon.NodeDB(node).ID(name))
+		}
+	}
+
+	var clock atomic.Int64
+	clock.Store(int64(now))
+	var stop atomic.Bool
+	var writers sync.WaitGroup
+	writers.Add(2)
+	go func() { // heartbeat: one AppendRow per device
+		defer writers.Done()
+		for i := 0; i < steps; i++ {
+			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
+		}
+	}()
+	go func() { // a second row writer on the same databases
+		defer writers.Done()
+		row := []float64{1, 2, 3}
+		for i := 0; i < steps; i++ {
+			for node, ids := range extra {
+				mon.NodeDB(node).AppendRow(ids, sim.Time(i), row)
+			}
+		}
+	}()
+	aggs := []*Aggregator{NewAggregator(mon), NewAggregator(mon)}
+	var readers sync.WaitGroup
+	for _, agg := range aggs {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 50 || !stop.Load(); i++ {
+				snap := agg.Snapshot(sim.Time(clock.Load()))
+				for _, st := range snap.Stats {
+					if n := len(st.MemSeries); n == 0 || n > 66 {
+						t.Errorf("%s: %d memory points in a full window", st.GPU.ID(), n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+
+	end := sim.Time(clock.Load())
+	for k, agg := range aggs {
+		snap := agg.Snapshot(end)
+		for _, st := range snap.Stats {
+			g := st.GPU
+			want := mon.NodeDB(g.Node).DownsampleInto(nil, seriesName(g, MetricMem),
+				end-agg.Window, end, agg.Window/sim.Time(agg.MaxPoints))
+			if len(st.MemSeries) != len(want) {
+				t.Fatalf("aggregator %d %s: %d points, want %d", k, g.ID(), len(st.MemSeries), len(want))
+			}
+			for i, p := range want {
+				if math.Float64bits(st.MemSeries[i]) != math.Float64bits(p.Value) {
+					t.Fatalf("aggregator %d %s point %d = %v, want %v", k, g.ID(), i, st.MemSeries[i], p.Value)
+				}
+			}
 		}
 	}
 }

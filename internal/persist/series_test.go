@@ -1,0 +1,45 @@
+package persist
+
+import (
+	"fmt"
+	"testing"
+
+	"kubeknots/internal/cluster"
+	"kubeknots/internal/k8s"
+	"kubeknots/internal/knots"
+	"kubeknots/internal/scheduler"
+	"kubeknots/internal/sim"
+)
+
+// TestCapturedSeriesSkipNeverSampledNode pins lazy series creation through
+// the persisted State: the monitor resolves every device's series IDs when
+// it is built, but a node whose telemetry is down from t=0 never appends,
+// so its DB lists no series and the State carries no ring for it.
+func TestCapturedSeriesSkipNeverSampledNode(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 3
+	o := k8s.NewOrchestrator(sim.NewEngine(1), cluster.New(cfg), &scheduler.PP{}, k8s.Config{})
+	o.SetTelemetry(0, 2, true)
+	o.Start()
+	o.Run(2 * sim.Second)
+
+	if names := o.Monitor.NodeDB(2).SeriesNames(); len(names) != 0 {
+		t.Fatalf("node down from t=0 lists series %v", names)
+	}
+	var got []string
+	for _, s := range CaptureState(o, nil).Series {
+		if len(s.Points) == 0 {
+			t.Fatalf("node %d series %s captured with no points", s.Node, s.Name)
+		}
+		got = append(got, fmt.Sprintf("%d:%s", s.Node, s.Name))
+	}
+	var want []string
+	for node := 0; node < 2; node++ {
+		for _, metric := range []string{knots.MetricMem, knots.MetricPower, knots.MetricRx, knots.MetricSM, knots.MetricTx} {
+			want = append(want, fmt.Sprintf("%d:g0/%s", node, metric))
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("captured series = %v, want %v", got, want)
+	}
+}

@@ -22,26 +22,37 @@ type Point struct {
 // series is a bounded ring buffer of points in non-decreasing time order.
 type series struct {
 	buf   []Point
-	start int // index of oldest point
-	n     int // number of valid points
+	start int    // index of oldest point
+	n     int    // number of valid points
+	seq   uint64 // points ever accepted; the oldest retained one is number seq-n
 }
 
 func newSeries(capacity int) *series {
 	return &series{buf: make([]Point, capacity)}
 }
 
+// phys folds start plus a logical offset, always below 2·len(buf), back
+// into buf: one conditional subtract instead of a modulo.
+func (s *series) phys(i int) int {
+	if i >= len(s.buf) {
+		i -= len(s.buf)
+	}
+	return i
+}
+
 func (s *series) append(p Point) {
+	s.seq++
 	if s.n == len(s.buf) {
 		// Overwrite the oldest point.
 		s.buf[s.start] = p
-		s.start = (s.start + 1) % len(s.buf)
+		s.start = s.phys(s.start + 1)
 		return
 	}
-	s.buf[(s.start+s.n)%len(s.buf)] = p
+	s.buf[s.phys(s.start+s.n)] = p
 	s.n++
 }
 
-func (s *series) at(i int) Point { return s.buf[(s.start+i)%len(s.buf)] }
+func (s *series) at(i int) Point { return s.buf[s.phys(s.start+i)] }
 
 // segments returns the logical points [lo, hi) as at most two contiguous
 // runs of the ring, oldest first: the run up to the end of buf, then the
@@ -117,8 +128,15 @@ func (s *series) lastN(n int) []Point {
 type DB struct {
 	mu       sync.RWMutex
 	capacity int
-	data     map[string]*series
+	ids      map[string]SeriesID
+	// series holds each ID's ring, nil until the series' first append.
+	series []*series
 }
+
+// SeriesID names one series of one DB. Resolve it once with ID and use it
+// on hot paths instead of the name: it skips the map lookup and the string
+// hash on every call.
+type SeriesID int32
 
 // DefaultCapacity is the per-series ring size when 0 is passed to New:
 // 10 000 points holds ten seconds of 1 ms-heartbeat samples — double the
@@ -131,7 +149,50 @@ func New(capacity int) *DB {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &DB{capacity: capacity, data: make(map[string]*series)}
+	return &DB{capacity: capacity, ids: make(map[string]SeriesID)}
+}
+
+// ID returns the ID of the named series, reserving one if the name is new.
+// Reserving does not create the series: until its first append it holds no
+// ring, reads see it as absent, and SeriesNames does not list it.
+func (db *DB) ID(name string) SeriesID {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.idLocked(name)
+}
+
+func (db *DB) idLocked(name string) SeriesID {
+	id, ok := db.ids[name]
+	if !ok {
+		id = SeriesID(len(db.series))
+		db.ids[name] = id
+		db.series = append(db.series, nil)
+	}
+	return id
+}
+
+// lookup returns the named series, or nil if it has never been appended to.
+// The caller holds db.mu.
+func (db *DB) lookup(name string) *series {
+	id, ok := db.ids[name]
+	if !ok {
+		return nil
+	}
+	return db.series[id]
+}
+
+// appendLocked records one point, creating the series on its first append
+// and dropping the point if it is older than the series' last one.
+func (db *DB) appendLocked(id SeriesID, at sim.Time, value float64) {
+	s := db.series[id]
+	if s == nil {
+		s = newSeries(db.capacity)
+		db.series[id] = s
+	}
+	if s.n > 0 && s.at(s.n-1).At > at {
+		return
+	}
+	s.append(Point{At: at, Value: value})
 }
 
 // Append records value for the named series at time at. Appends must arrive
@@ -140,22 +201,26 @@ func New(capacity int) *DB {
 func (db *DB) Append(name string, at sim.Time, value float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := db.data[name]
-	if s == nil {
-		s = newSeries(db.capacity)
-		db.data[name] = s
+	db.appendLocked(db.idLocked(name), at, value)
+}
+
+// AppendRow records values[i] for series ids[i], all at time at, under one
+// lock: one device's counters per heartbeat cost one lock round trip, not
+// one per metric. Each series keeps Append's out-of-order drop. ids must
+// come from this DB's ID and be as long as values.
+func (db *DB) AppendRow(ids []SeriesID, at sim.Time, values []float64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i, id := range ids {
+		db.appendLocked(id, at, values[i])
 	}
-	if s.n > 0 && s.at(s.n-1).At > at {
-		return
-	}
-	s.append(Point{At: at, Value: value})
 }
 
 // Window returns the points of name with from ≤ At ≤ to, oldest first.
 func (db *DB) Window(name string, from, to sim.Time) []Point {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil {
 		return nil
 	}
@@ -169,7 +234,7 @@ func (db *DB) Window(name string, from, to sim.Time) []Point {
 func (db *DB) WindowAppend(dst []Point, name string, from, to sim.Time) []Point {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil {
 		return dst
 	}
@@ -180,7 +245,7 @@ func (db *DB) WindowAppend(dst []Point, name string, from, to sim.Time) []Point 
 func (db *DB) Values(name string, from, to sim.Time) []float64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil {
 		return nil
 	}
@@ -197,7 +262,7 @@ func (db *DB) Values(name string, from, to sim.Time) []float64 {
 func (db *DB) ValuesInto(dst []float64, name string, from, to sim.Time) []float64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil {
 		return dst
 	}
@@ -208,7 +273,7 @@ func (db *DB) ValuesInto(dst []float64, name string, from, to sim.Time) []float6
 func (db *DB) Last(name string) (Point, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil || s.n == 0 {
 		return Point{}, false
 	}
@@ -219,7 +284,7 @@ func (db *DB) Last(name string) (Point, bool) {
 func (db *DB) LastN(name string, n int) []Point {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil || n <= 0 {
 		return nil
 	}
@@ -230,7 +295,7 @@ func (db *DB) LastN(name string, n int) []Point {
 func (db *DB) Len(name string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil {
 		return 0
 	}
@@ -241,9 +306,11 @@ func (db *DB) Len(name string) int {
 func (db *DB) SeriesNames() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.data))
-	for n := range db.data {
-		names = append(names, n)
+	names := make([]string, 0, len(db.ids))
+	for n, id := range db.ids {
+		if db.series[id] != nil {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -267,14 +334,22 @@ func (db *DB) Downsample(name string, from, to, bucket sim.Time) []Point {
 func (db *DB) DownsampleInto(dst []Point, name string, from, to, bucket sim.Time) []Point {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.data[name]
+	s := db.lookup(name)
 	if s == nil {
 		return dst
 	}
 	if bucket <= 0 {
 		return s.windowAppend(dst, from, to)
 	}
-	first, second := s.segments(s.windowBounds(from, to))
+	lo, hi := s.windowBounds(from, to)
+	return s.downsampleAppend(dst, lo, hi, from, bucket)
+}
+
+// downsampleAppend appends the mean of every non-empty bucket of the
+// logical points [lo, hi), bucket k starting at from + k·bucket, summing
+// each bucket from zero, left to right.
+func (s *series) downsampleAppend(dst []Point, lo, hi int, from, bucket sim.Time) []Point {
+	first, second := s.segments(lo, hi)
 	bStart := from
 	var sum float64
 	var cnt int

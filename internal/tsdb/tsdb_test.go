@@ -370,7 +370,7 @@ func TestRingReadsMatchReferenceModel(t *testing.T) {
 		db.Append("m", p.At, p.Value)
 		ref.append(p)
 
-		s := db.data["m"]
+		s := db.lookup("m")
 		if s.n == capacity && s.start == 0 {
 			startZeroFull++
 		}
