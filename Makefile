@@ -34,13 +34,16 @@ determinism:
 	$(GO) test ./internal/experiments/ -run 'TestTracingDeterminism|TestTracedExportsStable' -count=1
 	$(GO) test ./cmd/kubeknots/ -run 'TestE2EGolden' -count=1
 	$(GO) test ./cmd/knotsctl/ -run 'TestTrace' -count=1
+	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 fig9 > /tmp/kk-plain.txt
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
-		-spans-out /tmp/kk-spans-p1.jsonl fig9 > /tmp/kk-plain.txt
+		-spans-out /tmp/kk-spans-p1.jsonl -timeline-out /tmp/kk-timeline-p1.json fig9 > /tmp/kk-traced-p1.txt
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 8 \
-		-trace-out /tmp/kk-decisions.jsonl -timeline-out /tmp/kk-timeline.json \
-		-spans-out /tmp/kk-spans-p8.jsonl fig9 > /tmp/kk-traced.txt
-	diff /tmp/kk-plain.txt /tmp/kk-traced.txt
+		-spans-out /tmp/kk-spans-p8.jsonl -timeline-out /tmp/kk-timeline-p8.json fig9 > /tmp/kk-traced-p8.txt
+	diff /tmp/kk-plain.txt /tmp/kk-traced-p1.txt
+	diff /tmp/kk-plain.txt /tmp/kk-traced-p8.txt
 	diff /tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl
+	diff /tmp/kk-timeline-p1.json /tmp/kk-timeline-p8.json
+	test -s /tmp/kk-spans-p1.jsonl && test -s /tmp/kk-timeline-p1.json
 	$(GO) test ./internal/experiments/ -run TestHarvestDisabledByteIdentical -count=1
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
 		-harvest=false -watermark 0.5 -checkpoint-cost 1s fig9 > /tmp/kk-harvest-off.txt
@@ -57,10 +60,10 @@ determinism:
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
 		-state-dir /tmp/kk-state fig9 > /tmp/kk-recovered.txt
 	diff /tmp/kk-plain.txt /tmp/kk-recovered.txt
-	@echo determinism: tables and span JSONL identical with tracing on/off, -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical
+	@echo determinism: tables identical with tracing on/off, tables, spans and timeline identical at -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical
 
 clean:
-	rm -f /tmp/kk-plain.txt /tmp/kk-traced.txt /tmp/kk-decisions.jsonl /tmp/kk-timeline.json \
-		/tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl \
+	rm -f /tmp/kk-plain.txt /tmp/kk-traced-p1.txt /tmp/kk-traced-p8.txt \
+		/tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl /tmp/kk-timeline-p1.json /tmp/kk-timeline-p8.json \
 		/tmp/kk-fh1.txt /tmp/kk-fh8.txt /tmp/kk-harvest-off.txt /tmp/kk-crash-err.txt /tmp/kk-recovered.txt
 	rm -rf /tmp/kk-state

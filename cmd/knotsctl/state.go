@@ -14,9 +14,8 @@ import (
 )
 
 // stateCmd implements the offline `knotsctl state` subcommands. They read a
-// -state-dir written by the apiserver (snapshot + WAL), knotsd (snapshot
-// only), or a kubeknots -crash-at run (per-run snapshots) — no server
-// connection required.
+// -state-dir written by the apiserver (snapshot + WAL) or a kubeknots
+// -crash-at run (per-run snapshots) — no server connection required.
 func stateCmd(args []string, stdout, stderr io.Writer) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: knotsctl state inspect|verify|compact <state-dir>")

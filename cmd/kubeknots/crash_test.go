@@ -10,19 +10,17 @@ import (
 // e2eArgs builds the pinned golden scenario's argument list with extra
 // flags prepended, so crash/recovery runs stay comparable to the committed
 // goldens byte-for-byte.
-func e2eArgs(tmp string, extra ...string) (args []string, tracePath, timelinePath, spansPath string) {
-	tracePath = filepath.Join(tmp, "trace.jsonl")
+func e2eArgs(tmp string, extra ...string) (args []string, timelinePath, spansPath string) {
 	timelinePath = filepath.Join(tmp, "timeline.json")
 	spansPath = filepath.Join(tmp, "spans.jsonl")
 	args = append(extra,
 		"-parallel", "1",
 		"-seed", "3",
 		"-horizon", "3s",
-		"-trace-out", tracePath,
 		"-timeline-out", timelinePath,
 		"-spans-out", spansPath,
 		"fig9", "fig10a")
-	return args, tracePath, timelinePath, spansPath
+	return args, timelinePath, spansPath
 }
 
 // TestE2ECrashRecovery is the CLI-level durability proof against the
@@ -35,7 +33,7 @@ func TestE2ECrashRecovery(t *testing.T) {
 
 	// Crash run: every grid point snapshots at t=1s and aborts.
 	var stdout, stderr bytes.Buffer
-	args, _, _, _ := e2eArgs(t.TempDir(), "-state-dir", stateDir, "-crash-at", "1s")
+	args, _, _ := e2eArgs(t.TempDir(), "-state-dir", stateDir, "-crash-at", "1s")
 	if code := run(args, &stdout, &stderr); code != 1 {
 		t.Fatalf("crash run exit = %d, want 1; stderr:\n%s", code, stderr.String())
 	}
@@ -55,13 +53,12 @@ func TestE2ECrashRecovery(t *testing.T) {
 	// read-only, so a passing run proves replay determinism end to end).
 	stdout.Reset()
 	stderr.Reset()
-	args, tracePath, timelinePath, spansPath := e2eArgs(t.TempDir(), "-state-dir", stateDir)
+	args, timelinePath, spansPath := e2eArgs(t.TempDir(), "-state-dir", stateDir)
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("recovery run exit = %d, stderr:\n%s", code, stderr.String())
 	}
 	got := map[string][]byte{
 		filepath.Join("testdata", "e2e_tables.golden.txt"):    stdout.Bytes(),
-		filepath.Join("testdata", "e2e_trace.golden.jsonl"):   readAll(t, tracePath),
 		filepath.Join("testdata", "e2e_timeline.golden.json"): readAll(t, timelinePath),
 		filepath.Join("testdata", "e2e_spans.golden.jsonl"):   readAll(t, spansPath),
 	}

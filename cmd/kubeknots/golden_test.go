@@ -14,21 +14,19 @@ var update = flag.Bool("update", false, "regenerate the end-to-end golden files"
 // e2eRun is one fixed-seed kubeknots invocation's complete artifact set.
 type e2eRun struct {
 	tables   []byte // stdout: fig9 + fig10a tables
-	trace    []byte // -trace-out decision-audit JSONL
 	timeline []byte // -timeline-out Chrome trace_event JSON
 	spans    []byte // -spans-out causal pod-lifecycle span JSONL
 }
 
 // runE2E executes the pinned end-to-end scenario — seed 3, three simulated
-// seconds, fig9 and fig10a with decision-trace and timeline exports —
-// through the real CLI path. Seed 3 is chosen so the pending queue drains
-// within the horizon: a permanently SLO-rejected pod would otherwise be
-// re-traced every 10 ms round and bloat the golden trace from kilobytes to
+// seconds, fig9 and fig10a with span and timeline exports — through the
+// real CLI path. Seed 3 is chosen so the pending queue drains within the
+// horizon: a permanently SLO-rejected pod would otherwise get a sched.eval
+// span every 10 ms round and bloat the golden spans from kilobytes to
 // megabytes.
 func runE2E(t *testing.T) e2eRun {
 	t.Helper()
 	tmp := t.TempDir()
-	tracePath := filepath.Join(tmp, "trace.jsonl")
 	timelinePath := filepath.Join(tmp, "timeline.json")
 	spansPath := filepath.Join(tmp, "spans.jsonl")
 	var stdout, stderr bytes.Buffer
@@ -36,7 +34,6 @@ func runE2E(t *testing.T) e2eRun {
 		"-parallel", "1",
 		"-seed", "3",
 		"-horizon", "3s",
-		"-trace-out", tracePath,
 		"-timeline-out", timelinePath,
 		"-spans-out", spansPath,
 		"fig9", "fig10a",
@@ -51,15 +48,13 @@ func runE2E(t *testing.T) e2eRun {
 		}
 		return data
 	}
-	return e2eRun{tables: stdout.Bytes(), trace: readFile(tracePath),
-		timeline: readFile(timelinePath), spans: readFile(spansPath)}
+	return e2eRun{tables: stdout.Bytes(), timeline: readFile(timelinePath), spans: readFile(spansPath)}
 }
 
 // goldenFiles maps artifact names to their committed golden paths.
 func goldenFiles(r e2eRun) map[string][]byte {
 	return map[string][]byte{
 		filepath.Join("testdata", "e2e_tables.golden.txt"):    r.tables,
-		filepath.Join("testdata", "e2e_trace.golden.jsonl"):   r.trace,
 		filepath.Join("testdata", "e2e_timeline.golden.json"): r.timeline,
 		filepath.Join("testdata", "e2e_spans.golden.jsonl"):   r.spans,
 	}

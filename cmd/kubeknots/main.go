@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stateDir = fs.String("state-dir", "", "crash-recovery state directory: runs verify against (or, with -crash-at, write) per-run snapshots here")
 		crashAt  = fs.Duration("crash-at", 0, "inject a controller crash at this simulated instant: each run snapshots its state to -state-dir and aborts")
 
-		traceOut    = fs.String("trace-out", "", "write per-pod scheduling decision audit records (JSONL) to this file")
 		timelineOut = fs.String("timeline-out", "", "write a Chrome trace_event timeline (open in chrome://tracing or Perfetto) to this file")
 		spansOut    = fs.String("spans-out", "", "write causal pod-lifecycle spans (JSONL; query with knotsctl trace) to this file")
 		version     = fs.Bool("version", false, "print build information and exit")
@@ -141,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	base.Cluster.Persist.Dir = *stateDir
 	base.Cluster.Persist.CrashAt = sim.Time(crashAt.Milliseconds())
 	var collector *obs.Collector
-	if *traceOut != "" || *timelineOut != "" || *spansOut != "" {
+	if *timelineOut != "" || *spansOut != "" {
 		collector = obs.NewCollector()
 		base.Cluster.Obs = collector
 	}
@@ -157,6 +156,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		exps[i] = e
+	}
+
+	// Create the export files before launching anything as well, so a bad
+	// path, like a typo'd name, exits 2 with no partial output.
+	var exports []export
+	defer func() {
+		for _, e := range exports {
+			e.f.Close()
+		}
+	}()
+	for _, e := range []export{
+		{flag: "-timeline-out", path: *timelineOut, write: collector.WriteTimeline},
+		{flag: "-spans-out", path: *spansOut, write: collector.WriteSpans},
+	} {
+		if e.path == "" {
+			continue
+		}
+		f, err := os.Create(e.path)
+		if err != nil {
+			fmt.Fprintf(stderr, "kubeknots: %s: %v\n", e.flag, err)
+			return 2
+		}
+		e.f = f
+		exports = append(exports, e)
 	}
 
 	// One sweep job per (experiment × seed); in-experiment grids share the
@@ -226,24 +249,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Observability exports after all tables: runs merged in key order, so
 	// the files are byte-identical at any -parallel value.
-	if collector != nil {
-		if *traceOut != "" {
-			if err := writeFileWith(*traceOut, collector.WriteDecisionLog); err != nil {
-				fmt.Fprintf(stderr, "kubeknots: -trace-out: %v\n", err)
-				return 1
-			}
-		}
-		if *timelineOut != "" {
-			if err := writeFileWith(*timelineOut, collector.WriteTimeline); err != nil {
-				fmt.Fprintf(stderr, "kubeknots: -timeline-out: %v\n", err)
-				return 1
-			}
-		}
-		if *spansOut != "" {
-			if err := writeFileWith(*spansOut, collector.WriteSpans); err != nil {
-				fmt.Fprintf(stderr, "kubeknots: -spans-out: %v\n", err)
-				return 1
-			}
+	for _, e := range exports {
+		if err := e.finish(); err != nil {
+			fmt.Fprintf(stderr, "kubeknots: %s: %v\n", e.flag, err)
+			return 1
 		}
 	}
 	return 0
@@ -285,17 +294,20 @@ func parseSeeds(s string, def int64) ([]int64, error) {
 	return out, nil
 }
 
-// writeFileWith streams one export into path.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
+// export is one observability file: created before the sweep, so a bad
+// path is a usage error, and written from the collector after it.
+type export struct {
+	flag, path string
+	write      func(io.Writer) error
+	f          *os.File
+}
+
+// finish writes the export and closes its file.
+func (e export) finish() error {
+	if err := e.write(e.f); err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return e.f.Close()
 }
 
 func usage(fs *flag.FlagSet, w io.Writer) {

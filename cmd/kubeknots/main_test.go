@@ -28,6 +28,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{"empty-tracescale", []string{"-tracescale", "", "fig1"}, `unknown -tracescale ""`},
 		{"unknown-experiment", []string{"fig99"}, `unknown experiment "fig99"`},
 		{"unknown-among-known", []string{"fig1", "nope"}, `unknown experiment "nope"`},
+		{"bad-spans-out", []string{"-spans-out", "no-such-dir/spans.jsonl", "fig9"}, "-spans-out: open no-such-dir/spans.jsonl"},
+		{"bad-timeline-out", []string{"-timeline-out", "no-such-dir/timeline.json", "fig9"}, "-timeline-out: open no-such-dir/timeline.json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

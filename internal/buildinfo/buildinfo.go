@@ -2,7 +2,7 @@
 // version, and Go toolchain version, read once from the build metadata the
 // linker embeds. Every surface that identifies the build — the -version
 // flags on kubeknots and knotsctl, the knotsctl trace summary header, and
-// the /debug/vars expvar on knotsd and the apiserver — goes through Get, so
+// the apiserver's /debug/vars expvar — goes through Get, so
 // tests can pin a stable identity with Set and golden files stay
 // independent of the toolchain that built them.
 package buildinfo

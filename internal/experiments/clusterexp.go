@@ -55,10 +55,10 @@ type ClusterConfig struct {
 	// events, keeping runs byte-identical to a build without persistence.
 	Persist persist.RunSpec
 
-	// Obs, when set, collects this run's observability artifacts — the
-	// per-pod decision audit (CBP/PP) and the lifecycle timeline — under
-	// RunKey. Collection only observes: results and engine fingerprints are
-	// byte-identical with Obs set or nil.
+	// Obs, when set, collects this run's pod-lifecycle spans, including the
+	// per-candidate decision audit of CBP/PP and the harvest controller,
+	// under RunKey. Collection only observes: results and engine
+	// fingerprints are byte-identical with Obs set or nil.
 	Obs *obs.Collector
 	// RunKey names the run inside the collector (grids stamp their grid key;
 	// "" falls back to scheduler/mix). RunCluster appends "/seed=N".
@@ -150,7 +150,7 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 	}
 	var tracer *obs.BufTracer
 	if cfg.Obs != nil {
-		// Retain the whole run's events for the timeline export; ring capacity
+		// Retain the whole run's events for the span export; ring capacity
 		// never influences behaviour, only retention.
 		kcfg.EventCapacity = 1 << 16
 		if dt, ok := sched.(obs.DecisionTraceable); ok {
@@ -263,19 +263,19 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 		if key == "" {
 			key = fmt.Sprintf("%s/%s", sched.Name(), mix.Name())
 		}
-		art := obs.RunArtifacts{
-			Key:      fmt.Sprintf("%s/seed=%d", key, cfg.Seed),
-			Timeline: k8s.TimelineFromEvents(o.Events.All()),
-		}
+		runKey := fmt.Sprintf("%s/seed=%d", key, cfg.Seed)
+		var decisions []obs.DecisionRecord
 		if tracer != nil {
-			art.Decisions = tracer.Records()
+			decisions = tracer.Records()
 		}
 		// Spans fold the event log and decision records after the run — both
 		// deterministic — so the span file is byte-identical at any pool
 		// width. The ID generator is seeded with the run key, making IDs
 		// stable across sweeps too.
-		art.Spans = k8s.BuildSpans(span.NewIDGen(art.Key), sched.Name(), o.Events.All(), art.Decisions)
-		cfg.Obs.Add(art)
+		cfg.Obs.Add(obs.RunArtifacts{
+			Key:   runKey,
+			Spans: k8s.BuildSpans(span.NewIDGen(runKey), sched.Name(), o.Events.All(), decisions),
+		})
 	}
 	return run
 }

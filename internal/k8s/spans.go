@@ -256,7 +256,9 @@ func (b *spanBuilder) finish() {
 // decision renders one decision-trace record as an instant child span of the
 // pod's root: sched.eval for Algorithm-1 rounds, harvest.eval for controller
 // admission verdicts, harvest.preempt for de-harvests. Every candidate the
-// round considered becomes a span event carrying its exact gate verdict.
+// round considered becomes a span event carrying its exact gate verdict and
+// every other field of its CandidateTrace, so the record can be read back
+// from the span without loss.
 func (b *spanBuilder) decision(rec obs.DecisionRecord) {
 	name := span.SchedEvalName
 	for _, c := range rec.Candidates {
@@ -296,7 +298,11 @@ func (b *spanBuilder) decision(rec obs.DecisionRecord) {
 		s.SetAttr("peak_sm_pct", formatFloat(rec.PeakSMPct))
 	}
 	for _, c := range rec.Candidates {
-		attrs := map[string]string{"outcome": c.Outcome}
+		attrs := map[string]string{
+			"outcome":    c.Outcome,
+			"free_mb":    formatFloat(c.FreeMB),
+			"planned_sm": formatFloat(c.PlannedSM),
+		}
 		if c.GPU != "" {
 			attrs["gpu"] = c.GPU
 		}
@@ -317,6 +323,5 @@ func (b *spanBuilder) decision(rec obs.DecisionRecord) {
 }
 
 // formatFloat renders trace floats with the shortest exact representation,
-// matching encoding/json so span attributes diff cleanly against the
-// decision log they derive from.
+// so strconv.ParseFloat reads back the identical value.
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

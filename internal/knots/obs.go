@@ -4,8 +4,7 @@ import "kubeknots/internal/obs"
 
 // Package-level instruments on the default registry. Registering at init
 // (rather than on first increment) makes every counter visible on /metrics
-// at 0, so dashboards and the knotsd acceptance check see the full schema
-// before the first heartbeat.
+// at 0, so dashboards see the full schema before the first heartbeat.
 var (
 	mHeartbeats = obs.Default().Counter("knots_heartbeats_total",
 		"Monitor sampling rounds completed (one per heartbeat).")

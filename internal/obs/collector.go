@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -14,11 +13,8 @@ type RunArtifacts struct {
 	// Key identifies the run (e.g. "fig9/App-Mix-1/PP/seed=2"). Callers must
 	// keep keys unique within a sweep so merged exports are deterministic.
 	Key string
-	// Decisions is the run's placement audit log in emission order.
-	Decisions []DecisionRecord
-	// Timeline is the run's lifecycle timeline (may be nil).
-	Timeline *Timeline
-	// Spans is the run's causal pod-lifecycle trace (may be empty).
+	// Spans is the run's causal pod-lifecycle trace (may be empty): the
+	// one model both exports, WriteSpans and WriteTimeline, render.
 	Spans []span.Span
 }
 
@@ -54,44 +50,6 @@ func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.runs)
-}
-
-// WriteDecisionLog writes every run's decision records as one JSONL stream,
-// runs in key order, each record stamped with its run key.
-func (c *Collector) WriteDecisionLog(w io.Writer) error {
-	var all []DecisionRecord
-	for _, run := range c.Runs() {
-		for _, rec := range run.Decisions {
-			rec.Run = run.Key
-			all = append(all, rec)
-		}
-	}
-	return WriteDecisionJSONL(w, all)
-}
-
-// WriteTimeline merges every run's timeline into one trace_event file: each
-// run becomes its own process (pid = 1 + sorted-key index, named after the
-// key), so Perfetto shows runs side by side.
-func (c *Collector) WriteTimeline(w io.Writer) error {
-	var events []TimelineEvent
-	for i, run := range c.Runs() {
-		if run.Timeline == nil && len(run.Spans) == 0 {
-			continue
-		}
-		pid := i + 1
-		events = append(events, TimelineEvent{
-			Name: "process_name", Ph: PhaseMetadata, PID: pid,
-			Args: map[string]any{"name": run.Key},
-		})
-		if run.Timeline != nil {
-			for _, ev := range run.Timeline.Events {
-				ev.PID = pid
-				events = append(events, ev)
-			}
-		}
-		events = append(events, spanTimelineEvents(run.Spans, pid)...)
-	}
-	return writeTimelineFile(w, events)
 }
 
 // PromHandler serves a registry in Prometheus text exposition format.

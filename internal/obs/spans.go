@@ -2,16 +2,15 @@ package obs
 
 import (
 	"io"
+	"sort"
 
 	"kubeknots/internal/obs/span"
 )
 
-// This file is the span export plumbing: the Collector carries each run's
-// span slice next to its decisions and timeline, writes the merged JSONL
-// span file (runs in key order, each span stamped with its run key — the
-// same determinism contract as WriteDecisionLog), and overlays spans onto
-// the Chrome trace_event timeline as async nestable events so a pod's
-// lifecycle phases stack visually in Perfetto.
+// This file is the span export plumbing. Spans are the only trace model a
+// run exports: the Collector carries each run's span slice, writes the
+// merged JSONL span file (runs in key order, each span stamped with its run
+// key), and draws the Chrome trace_event timeline from the same spans.
 
 // WriteSpans writes every run's spans as one JSONL stream, runs in key
 // order, each span stamped with its run key.
@@ -26,6 +25,72 @@ func (c *Collector) WriteSpans(w io.Writer) error {
 	return span.WriteJSONL(w, all)
 }
 
+// WriteTimeline renders every run's spans as one trace_event file. Each run
+// becomes its own process (pid = 1 + sorted-key index, named after the key),
+// so Perfetto shows runs side by side; within it, pod executions are slices
+// on per-GPU threads and every span sits on its pod's async track.
+func (c *Collector) WriteTimeline(w io.Writer) error {
+	var events []TimelineEvent
+	for i, run := range c.Runs() {
+		if len(run.Spans) == 0 {
+			continue
+		}
+		pid := i + 1
+		events = append(events, TimelineEvent{
+			Name: "process_name", Ph: PhaseMetadata, PID: pid,
+			Args: map[string]any{"name": run.Key},
+		})
+		events = append(events, execSlices(run.Spans, pid)...)
+		events = append(events, spanTimelineEvents(run.Spans, pid)...)
+	}
+	return writeTimelineFile(w, events)
+}
+
+// execSlices draws each pod.exec span as a complete slice on the thread of
+// the GPU it ran on. Threads are numbered from 1 in GPU-id order, so the
+// assignment is deterministic. A slice's category is the span's end attr
+// (completed, drained, running, …) and its args are the span's attrs, so a
+// drained slice carries the fault that caused it.
+func execSlices(spans []span.Span, pid int) []TimelineEvent {
+	seen := make(map[string]bool)
+	var gpus []string
+	for i := range spans {
+		if g := spans[i].Attrs["gpu"]; spans[i].Name == span.ExecName && !seen[g] {
+			seen[g] = true
+			gpus = append(gpus, g)
+		}
+	}
+	sort.Strings(gpus)
+	tids := make(map[string]int, len(gpus))
+	var out []TimelineEvent
+	for i, g := range gpus {
+		tids[g] = i + 1
+		out = append(out, TimelineEvent{
+			Name: "thread_name", Ph: PhaseMetadata, PID: pid, TID: i + 1,
+			Args: map[string]any{"name": g},
+		})
+	}
+	for i := range spans {
+		s := &spans[i]
+		if s.Name != span.ExecName {
+			continue
+		}
+		out = append(out, TimelineEvent{Name: s.Pod, Cat: s.Attrs["end"], Ph: PhaseSlice,
+			TS: s.StartUS, Dur: s.DurUS(), PID: pid, TID: tids[s.Attrs["gpu"]],
+			Args: attrArgs(s.Attrs)})
+	}
+	return out
+}
+
+// attrArgs copies span attrs into trace_event args.
+func attrArgs(attrs map[string]string) map[string]any {
+	args := make(map[string]any, len(attrs)+1)
+	for k, v := range attrs {
+		args[k] = v
+	}
+	return args
+}
+
 // spanTimelineEvents renders one run's spans as async nestable trace
 // events. All spans of a pod share the root span's id (children parent
 // directly to the root), so viewers nest them on one per-pod async track;
@@ -38,10 +103,7 @@ func spanTimelineEvents(spans []span.Span, pid int) []TimelineEvent {
 		if track == "" {
 			track = string(s.ID)
 		}
-		args := make(map[string]any, len(s.Attrs)+1)
-		for k, v := range s.Attrs {
-			args[k] = v
-		}
+		args := attrArgs(s.Attrs)
 		args["span_id"] = string(s.ID)
 		if s.DurUS() > 0 || s.Name == span.RootName {
 			out = append(out,

@@ -6,18 +6,15 @@ import (
 	"io"
 )
 
-// This file renders simulation runs as Chrome trace_event JSON — the format
-// chrome://tracing and Perfetto open natively — so a whole run (arrivals,
-// placements, completions, chaos faults, drains) can be scrubbed visually.
-// Timestamps are simulated milliseconds converted to the format's
-// microseconds; nothing here reads a wall clock.
+// This file holds the Chrome trace_event JSON format — the format
+// chrome://tracing and Perfetto open natively — that Collector.WriteTimeline
+// renders a sweep's spans into. Timestamps are simulated milliseconds
+// converted to the format's microseconds; nothing here reads a wall clock.
 
 // Timeline event phase constants (trace_event "ph" values).
 const (
 	PhaseSlice    = "X" // complete event: ts + dur
-	PhaseInstant  = "i" // instant event
 	PhaseMetadata = "M" // process_name / thread_name metadata
-	PhaseCounter  = "C" // counter track
 
 	// Async nestable phases, used for the span overlay: spans of one pod
 	// share an id, so Perfetto stacks overlapping lifecycle phases instead
@@ -39,56 +36,12 @@ type TimelineEvent struct {
 	PID int   `json:"pid"`
 	TID int   `json:"tid"`
 	// ID groups async nestable events (phases b/e/n) into one track.
-	ID string `json:"id,omitempty"`
-	// S scopes instant events ("t" = thread).
-	S    string         `json:"s,omitempty"`
+	ID   string         `json:"id,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
-}
-
-// Timeline is an ordered collection of trace events for one run.
-type Timeline struct {
-	Events []TimelineEvent
 }
 
 // MSToUS converts simulated milliseconds to trace microseconds.
 func MSToUS(ms int64) int64 { return ms * 1000 }
-
-// Slice appends a complete (ts, dur) event.
-func (t *Timeline) Slice(name, cat string, tsUS, durUS int64, tid int, args map[string]any) {
-	t.Events = append(t.Events, TimelineEvent{
-		Name: name, Cat: cat, Ph: PhaseSlice, TS: tsUS, Dur: durUS, TID: tid, Args: args,
-	})
-}
-
-// Instant appends a thread-scoped instant event.
-func (t *Timeline) Instant(name, cat string, tsUS int64, tid int, args map[string]any) {
-	t.Events = append(t.Events, TimelineEvent{
-		Name: name, Cat: cat, Ph: PhaseInstant, TS: tsUS, TID: tid, S: "t", Args: args,
-	})
-}
-
-// Counter appends a counter sample (rendered as an area track).
-func (t *Timeline) Counter(name string, tsUS int64, tid int, series map[string]any) {
-	t.Events = append(t.Events, TimelineEvent{
-		Name: name, Ph: PhaseCounter, TS: tsUS, TID: tid, Args: series,
-	})
-}
-
-// ThreadName appends thread_name metadata for a track.
-func (t *Timeline) ThreadName(tid int, name string) {
-	t.Events = append(t.Events, TimelineEvent{
-		Name: "thread_name", Ph: PhaseMetadata, TID: tid,
-		Args: map[string]any{"name": name},
-	})
-}
-
-// ProcessName appends process_name metadata (pid 0; remapped on merge).
-func (t *Timeline) ProcessName(name string) {
-	t.Events = append(t.Events, TimelineEvent{
-		Name: "process_name", Ph: PhaseMetadata,
-		Args: map[string]any{"name": name},
-	})
-}
 
 // timelineFile is the on-disk trace_event envelope.
 type timelineFile struct {
@@ -96,13 +49,9 @@ type timelineFile struct {
 	DisplayTimeUnit string          `json:"displayTimeUnit"`
 }
 
-// WriteJSON renders the timeline as a self-contained trace_event file. The
+// writeTimelineFile renders events as a self-contained trace_event file. The
 // output is deterministic: event order is preserved and JSON map keys are
 // emitted sorted.
-func (t *Timeline) WriteJSON(w io.Writer) error {
-	return writeTimelineFile(w, t.Events)
-}
-
 func writeTimelineFile(w io.Writer, events []TimelineEvent) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -113,14 +62,4 @@ func writeTimelineFile(w io.Writer, events []TimelineEvent) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// ReadTimelineJSON parses a trace_event file written by WriteJSON (used by
-// the round-trip tests and external tooling).
-func ReadTimelineJSON(r io.Reader) ([]TimelineEvent, error) {
-	var f timelineFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, err
-	}
-	return f.TraceEvents, nil
 }

@@ -5,58 +5,33 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"kubeknots/internal/obs/span"
 )
 
-func buildTimeline() *Timeline {
-	tl := &Timeline{}
-	tl.ProcessName("fig9/PP/seed=1")
-	tl.ThreadName(0, "queue")
-	tl.ThreadName(1, "n0/g0")
-	tl.Instant("submit kmeans-1", "queue", MSToUS(10), 0, nil)
-	tl.Slice("kmeans-1", "batch", MSToUS(30), MSToUS(250), 1, map[string]any{"node": "n0/g0"})
-	tl.Instant("NodeDown", "chaos", MSToUS(120), 1, map[string]any{"detail": "crash"})
-	tl.Counter("queue_depth", MSToUS(100), 0, map[string]any{"pending": 4})
-	return tl
+// readTimeline decodes a trace_event file written by WriteTimeline.
+func readTimeline(t *testing.T, data []byte) []TimelineEvent {
+	t.Helper()
+	var f timelineFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	return f.TraceEvents
 }
 
-func TestTimelineWriteJSONRoundTrip(t *testing.T) {
-	tl := buildTimeline()
-	var buf bytes.Buffer
-	if err := tl.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Envelope shape Chrome/Perfetto accept.
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := env["traceEvents"]; !ok {
-		t.Fatal("missing traceEvents")
-	}
-	got, err := ReadTimelineJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(tl.Events) {
-		t.Fatalf("got %d events, want %d", len(got), len(tl.Events))
-	}
-	if got[5].Name != "NodeDown" || got[5].Ph != PhaseInstant || got[5].TS != 120000 {
-		t.Errorf("event 5 = %+v", got[5])
-	}
-	// Deterministic output: encoding the same timeline twice is identical.
-	var again bytes.Buffer
-	if err := tl.WriteJSON(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("timeline encoding is not deterministic")
+// runSpans is a one-pod run: a root span and one execution on n0/g0.
+func runSpans(pod string) []span.Span {
+	return []span.Span{
+		{ID: span.ID(pod + "-root"), Name: span.RootName, Seq: 1, Pod: pod, StartUS: 0, EndUS: 300},
+		{ID: span.ID(pod + "-exec"), Parent: span.ID(pod + "-root"), Name: span.ExecName, Seq: 2,
+			Pod: pod, StartUS: 100, EndUS: 300, Attrs: map[string]string{"gpu": "n0/g0", "end": "completed"}},
 	}
 }
 
 func TestCollectorSortsRunsAndStampsKeys(t *testing.T) {
 	c := NewCollector()
-	c.Add(RunArtifacts{Key: "b-run", Decisions: []DecisionRecord{{Pod: "p2"}}, Timeline: buildTimeline()})
-	c.Add(RunArtifacts{Key: "a-run", Decisions: []DecisionRecord{{Pod: "p1"}}, Timeline: buildTimeline()})
+	c.Add(RunArtifacts{Key: "b-run", Spans: runSpans("p2")})
+	c.Add(RunArtifacts{Key: "a-run", Spans: runSpans("p1")})
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
@@ -65,26 +40,24 @@ func TestCollectorSortsRunsAndStampsKeys(t *testing.T) {
 		t.Fatalf("runs not sorted: %v, %v", runs[0].Key, runs[1].Key)
 	}
 
-	var log bytes.Buffer
-	if err := c.WriteDecisionLog(&log); err != nil {
+	var spBuf bytes.Buffer
+	if err := c.WriteSpans(&spBuf); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadDecisionJSONL(bytes.NewReader(log.Bytes()))
+	spans, err := span.ReadJSONL(bytes.NewReader(spBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs[0].Run != "a-run" || recs[0].Pod != "p1" || recs[1].Run != "b-run" {
-		t.Errorf("decision log order/stamp wrong: %+v", recs)
+	if len(spans) != 4 || spans[0].Run != "a-run" || spans[0].Pod != "p1" ||
+		spans[2].Run != "b-run" || spans[2].Pod != "p2" {
+		t.Errorf("span file order/stamp wrong: %+v", spans)
 	}
 
 	var tlBuf bytes.Buffer
 	if err := c.WriteTimeline(&tlBuf); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadTimelineJSON(bytes.NewReader(tlBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := readTimeline(t, tlBuf.Bytes())
 	// First event of each run block is its process_name metadata.
 	if evs[0].PID != 1 || !reflect.DeepEqual(evs[0].Args, map[string]any{"name": "a-run"}) {
 		t.Errorf("first process meta = %+v", evs[0])
@@ -109,11 +82,7 @@ func TestCollectorEmptyTimeline(t *testing.T) {
 	if err := NewCollector().WriteTimeline(&buf); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadTimelineJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 0 {
+	if evs := readTimeline(t, buf.Bytes()); len(evs) != 0 {
 		t.Errorf("expected empty traceEvents, got %d", len(evs))
 	}
 }

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Candidate outcomes recorded in a scheduling decision trace. The reject
 // reasons mirror the gates of Algorithm 1 in order: capacity, SM ceiling,
@@ -40,48 +34,47 @@ const (
 )
 
 // CandidateTrace is one node considered for one pod, with the exact gate
-// that accepted or rejected it.
+// that accepted or rejected it. k8s.BuildSpans renders it as a "candidate"
+// event of the pod's eval span, one attr per field.
 type CandidateTrace struct {
-	GPU       string  `json:"gpu"`
-	FreeMB    float64 `json:"free_mb"`
-	PlannedSM float64 `json:"planned_sm"`
-	Stale     bool    `json:"stale,omitempty"`
-	Outcome   string  `json:"outcome"`
+	GPU       string
+	FreeMB    float64
+	PlannedSM float64
+	Stale     bool
+	Outcome   string
 	// Rho is the Spearman correlation of the pod's upcoming memory series
 	// against the node window, when the gate computed one.
-	Rho *float64 `json:"rho,omitempty"`
+	Rho *float64
 	// ForecastMB is the AR(1) prediction Ŷ of next-interval node memory,
 	// when the forecast path ran.
-	ForecastMB *float64 `json:"forecast_mb,omitempty"`
+	ForecastMB *float64
 	// ForecastFreeMB is capacity − Ŷ, the free memory the forecast promises.
-	ForecastFreeMB *float64 `json:"forecast_free_mb,omitempty"`
+	ForecastFreeMB *float64
 }
 
 // DecisionRecord is the per-pod placement audit record: every candidate the
-// scheduler considered and why each was taken or skipped.
+// scheduler considered and why each was taken or skipped. Records are an
+// in-memory input to k8s.BuildSpans, which renders each one losslessly as a
+// sched.eval, harvest.eval or harvest.preempt span.
 type DecisionRecord struct {
-	// Run labels the simulation run (experiment key + seed); stamped by the
-	// Collector when runs are merged.
-	Run string `json:"run,omitempty"`
 	// At is the simulated decision time in milliseconds.
-	At        int64  `json:"at_ms"`
-	Scheduler string `json:"scheduler"`
-	Pod       string `json:"pod"`
-	Class     string `json:"class"`
+	At        int64
+	Scheduler string
+	Pod       string
+	Class     string
 	// ReserveMB is the harvested reservation the scheduler computed.
-	ReserveMB float64 `json:"reserve_mb"`
+	ReserveMB float64
 	// PeakSMPct is the pod's peak SM demand from its profile.
-	PeakSMPct float64 `json:"peak_sm_pct"`
-	Placed    bool    `json:"placed"`
+	PeakSMPct float64
+	Placed    bool
 	// GPU is the chosen device ("" when the pod stayed queued).
-	GPU        string           `json:"gpu,omitempty"`
-	Candidates []CandidateTrace `json:"candidates,omitempty"`
+	GPU        string
+	Candidates []CandidateTrace
 }
 
 // Tracer receives placement audit records. Implementations must be safe for
-// use from the single simulation goroutine that owns the run; the JSONL and
-// buffer tracers are additionally safe for concurrent use so one sink can
-// serve a parallel sweep.
+// use from the single simulation goroutine that owns the run; BufTracer is
+// additionally safe for concurrent use.
 type Tracer interface {
 	Trace(rec DecisionRecord)
 }
@@ -98,77 +91,6 @@ var Nop Tracer = nopTracer{}
 // audit records.
 type DecisionTraceable interface {
 	SetDecisionTracer(Tracer)
-}
-
-// JSONLTracer writes one JSON object per line. Safe for concurrent use;
-// each record is written atomically.
-type JSONLTracer struct {
-	mu  sync.Mutex
-	w   io.Writer
-	err error
-}
-
-// NewJSONLTracer wraps w.
-func NewJSONLTracer(w io.Writer) *JSONLTracer { return &JSONLTracer{w: w} }
-
-// Trace implements Tracer.
-func (t *JSONLTracer) Trace(rec DecisionRecord) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.err = err
-		return
-	}
-	b = append(b, '\n')
-	_, t.err = t.w.Write(b)
-}
-
-// Err returns the first write or encode error, if any.
-func (t *JSONLTracer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-// WriteDecisionJSONL renders records as JSONL.
-func WriteDecisionJSONL(w io.Writer, recs []DecisionRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadDecisionJSONL parses a JSONL decision log (the inverse of
-// WriteDecisionJSONL / JSONLTracer), skipping blank lines.
-func ReadDecisionJSONL(r io.Reader) ([]DecisionRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var out []DecisionRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var rec DecisionRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return nil, fmt.Errorf("obs: decision log line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: decision log: %w", err)
-	}
-	return out, nil
 }
 
 // BufTracer accumulates records in memory, preserving emission order. Safe

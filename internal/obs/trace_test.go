@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"bytes"
-	"reflect"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func f64(v float64) *float64 { return &v }
 
@@ -29,64 +24,6 @@ func sampleRecords() []DecisionRecord {
 				{GPU: "n3/g0", FreeMB: 0, PlannedSM: 0, Stale: true, Outcome: RejectStaleExclusive},
 			},
 		},
-	}
-}
-
-// TestJSONLRoundTrip: emit → parse → re-emit must be byte-identical.
-func TestJSONLRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	var first bytes.Buffer
-	if err := WriteDecisionJSONL(&first, recs); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ReadDecisionJSONL(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(parsed, recs) {
-		t.Fatalf("parsed records differ:\n got %+v\nwant %+v", parsed, recs)
-	}
-	var second bytes.Buffer
-	if err := WriteDecisionJSONL(&second, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Errorf("re-emitted JSONL differs:\n first %q\nsecond %q", first.String(), second.String())
-	}
-	if lines := strings.Count(first.String(), "\n"); lines != len(recs) {
-		t.Errorf("got %d lines, want %d", lines, len(recs))
-	}
-}
-
-func TestJSONLTracerMatchesWriter(t *testing.T) {
-	recs := sampleRecords()
-	var streamed bytes.Buffer
-	tr := NewJSONLTracer(&streamed)
-	for _, rec := range recs {
-		tr.Trace(rec)
-	}
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	var batch bytes.Buffer
-	if err := WriteDecisionJSONL(&batch, recs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed.Bytes(), batch.Bytes()) {
-		t.Errorf("streamed and batch JSONL differ:\n%q\nvs\n%q", streamed.String(), batch.String())
-	}
-}
-
-func TestReadDecisionJSONLSkipsBlanksAndReportsErrors(t *testing.T) {
-	got, err := ReadDecisionJSONL(strings.NewReader("\n{\"pod\":\"a\",\"at_ms\":1,\"scheduler\":\"PP\",\"class\":\"batch\",\"reserve_mb\":0,\"peak_sm_pct\":0,\"placed\":false}\n\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Pod != "a" {
-		t.Fatalf("got %+v", got)
-	}
-	if _, err := ReadDecisionJSONL(strings.NewReader("not-json\n")); err == nil {
-		t.Error("expected parse error")
 	}
 }
 

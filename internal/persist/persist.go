@@ -31,7 +31,7 @@ import (
 // scratch. Stored as JSON inside the snapshot so the format survives field
 // additions.
 type Bootstrap struct {
-	// Kind is "apiserver", "knotsd" or "experiment".
+	// Kind is "apiserver" or "experiment".
 	Kind string `json:"kind"`
 	// Seed is the simulation engine seed.
 	Seed int64 `json:"seed"`

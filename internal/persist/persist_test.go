@@ -95,6 +95,18 @@ func TestDecodeStateRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestDecodeStateRejectsOldVersion: a version-1 digest, which carried a
+// trailing daemon sequence number, is refused by name instead of being
+// misread.
+func TestDecodeStateRejectsOldVersion(t *testing.T) {
+	data := EncodeState(replayState(t, testCommands()))
+	v1 := append(append([]byte{1}, data[1:]...), 0, 0, 0, 0, 0, 0, 0, 0)
+	_, err := DecodeState(v1)
+	if err == nil || !strings.Contains(err.Error(), "unsupported state version 1") {
+		t.Fatalf("version-1 state: err = %v, want unsupported state version 1", err)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := &Snapshot{Boot: testBoot(), Cmds: testCommands(), State: replayState(t, testCommands())}
 	data, err := EncodeSnapshot(snap)

@@ -12,7 +12,8 @@ import (
 )
 
 // stateVersion is bumped whenever the State binary layout changes.
-const stateVersion = byte(1)
+// Version 2 dropped the trailing daemon sequence number of version 1.
+const stateVersion = byte(2)
 
 // State is the observable control-plane state at one instant: sim clock,
 // engine fingerprint, pods, scheduling queue, retained events, tsdb rings,
@@ -29,8 +30,6 @@ type State struct {
 	Series      []SeriesState
 	QoS         QoSState
 	Harvest     *HarvestState
-	// DaemonSeq is knotsd's workload placement sequence (0 elsewhere).
-	DaemonSeq uint64
 }
 
 // PodState is one pod's durable fields.
@@ -260,8 +259,6 @@ func EncodeState(st *State) []byte {
 	} else {
 		w.u8(0)
 	}
-
-	w.u64(st.DaemonSeq)
 	return w.buf
 }
 
@@ -354,7 +351,6 @@ func DecodeState(data []byte) (*State, error) {
 		st.Harvest = h
 	}
 
-	st.DaemonSeq = r.u64("daemon seq")
 	if err := r.done(); err != nil {
 		return nil, err
 	}
