@@ -9,6 +9,7 @@ package kubeknots
 // rows.
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -292,16 +293,24 @@ func BenchmarkAggregatorSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now += 100 * sim.Millisecond
 		mon.Sample(now)
-		agg.Snapshot(now)
+		readAllSeries(agg.Snapshot(now))
+	}
+}
+
+// readAllSeries reads every stat's memory window, as the harvest tick does,
+// so that a snapshot benchmark also pays for the downsampling its lazy
+// windows defer to the first read.
+func readAllSeries(snap *knots.Snapshot) {
+	for i := range snap.Stats {
+		snap.Stats[i].MemSeries()
 	}
 }
 
 func BenchmarkAggregatorSnapshot10ms(b *testing.B) {
 	// fig9's cadence: a 10 ms heartbeat fills each 78 ms bucket with 7-8
-	// points, so the per-device memos serve most buckets of every rebuild
-	// (the 100 ms benchmarks above have one point per bucket and never use
-	// them). Every node is sampled between snapshots, so every node is
-	// rebuilt.
+	// points (the 100 ms benchmark above has one point per bucket). Every
+	// node is sampled between snapshots, so every node is rebuilt, and every
+	// window is read.
 	cl := cluster.New(cluster.DefaultConfig())
 	mon := knots.NewMonitor(cl, 0)
 	now := sim.Time(0)
@@ -310,13 +319,13 @@ func BenchmarkAggregatorSnapshot10ms(b *testing.B) {
 		mon.Sample(now)
 	}
 	agg := knots.NewAggregator(mon)
-	agg.Snapshot(now)
+	readAllSeries(agg.Snapshot(now))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now += 10 * sim.Millisecond
 		mon.Sample(now)
-		agg.Snapshot(now)
+		readAllSeries(agg.Snapshot(now))
 	}
 }
 
@@ -431,8 +440,9 @@ func BenchmarkPPScheduleRound512(b *testing.B) {
 
 func BenchmarkTSDBWindowRead(b *testing.B) {
 	db := tsdb.New(0)
+	id := []tsdb.SeriesID{db.ID("m")}
 	for i := 0; i < 5000; i++ {
-		db.Append("m", sim.Time(i)*sim.Millisecond, float64(i%97))
+		db.Append(id, sim.Time(i)*sim.Millisecond, []float64{float64(i % 97)})
 	}
 	var vals []float64
 	var pts []tsdb.Point
@@ -440,7 +450,7 @@ func BenchmarkTSDBWindowRead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		vals = db.ValuesInto(vals[:0], "m", 0, 5*sim.Second)
-		pts = db.DownsampleInto(pts[:0], "m", 0, 5*sim.Second, 100*sim.Millisecond)
+		pts = db.DownsampleInto(pts[:0], id[0], math.MaxUint64, 0, 5*sim.Second, 100*sim.Millisecond)
 	}
 	if len(vals) == 0 || len(pts) == 0 {
 		b.Fatal("benchmark read nothing")

@@ -167,7 +167,7 @@ func (c *Controller) tick(now sim.Time) {
 		st := &snap.Stats[i]
 		capMB := st.GPU.MemCapMB
 		load := st.Obs.MemUsedMB
-		if pred, ok := forecast.PredictNext(st.MemSeries); ok {
+		if pred, ok := forecast.PredictNext(st.MemSeries()); ok {
 			if pred = forecast.Clamp(pred, 0, capMB); pred > load {
 				load = pred
 			}

@@ -52,7 +52,7 @@ func eqSnapshots(t *testing.T, label string, want, got *Snapshot) {
 				t.Fatalf("%s: stat %d resident %d diverged", label, i, k)
 			}
 		}
-		eqSeries("MemSeries", i, w.MemSeries, g.MemSeries)
+		eqSeries("MemSeries", i, w.MemSeries(), g.MemSeries())
 	}
 }
 

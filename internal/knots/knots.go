@@ -52,8 +52,10 @@ type Monitor struct {
 	dbs     []*tsdb.DB // by node; nil for a node without devices
 	// ids holds each device's five series IDs in Metrics order, resolved
 	// once here so that a heartbeat neither formats nor hashes a name. The
-	// series themselves are created by their first append.
-	ids [][numMetrics]tsdb.SeriesID
+	// series themselves are created by their first append. memIDs repeats
+	// each device's memory ID, so that a node's are one contiguous run.
+	ids    [][numMetrics]tsdb.SeriesID
+	memIDs []tsdb.SeriesID
 
 	// mu guards the liveness state below; the sampling DBs lock themselves.
 	mu         sync.RWMutex
@@ -75,6 +77,7 @@ func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 		Cluster:    cl,
 		dbs:        make([]*tsdb.DB, nodes),
 		ids:        make([][numMetrics]tsdb.SeriesID, len(gpus)),
+		memIDs:     make([]tsdb.SeriesID, len(gpus)),
 		down:       make([]bool, nodes),
 		lastSample: make([]sim.Time, nodes),
 		seq:        make([]uint64, nodes),
@@ -90,6 +93,7 @@ func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 		for k, metric := range Metrics {
 			m.ids[i][k] = m.dbs[g.Node].ID(seriesName(g, metric))
 		}
+		m.memIDs[i] = m.ids[i][memIdx]
 	}
 	return m
 }
@@ -120,7 +124,7 @@ func (m *Monitor) Sample(now sim.Time) {
 		}
 		o := g.Obs
 		row := [numMetrics]float64{o.SMPct, o.MemUsedMB, o.PowerW, o.TxMBps, o.RxMBps}
-		m.dbs[node].AppendRow(m.ids[i][:], now, row[:])
+		m.dbs[node].Append(m.ids[i][:], now, row[:])
 		m.lastSample[node] = now
 		m.lastObs[i] = o
 		m.seq[node]++
@@ -210,13 +214,63 @@ type GPUStat struct {
 	// Resident lists the device's current containers (labels and classes
 	// feed the k8s affinity rules).
 	Resident []*cluster.Container
-	// MemSeries is the trailing five-second memory window, the one series
-	// the schedulers and the harvest gate read.
-	MemSeries []float64
+	// mem builds the trailing memory window on its first read (MemSeries).
+	mem *memWindow
 	// Stale marks telemetry older than the aggregator's StaleAfter bound:
 	// Obs is the last sample the node delivered, not live state. Schedulers
 	// must not trust correlation or forecasts built on a rotten window.
 	Stale bool
+}
+
+// MemSeries returns the device's trailing memory window [At-Window, At],
+// mean-downsampled to the aggregator's resolution: the one series the
+// schedulers and the harvest gate read. The window is built on the first
+// read in a snapshot, so a stat no gate reaches costs no window read; later
+// reads return the same slice. It holds exactly what a read at Snapshot
+// time would have, even if the node is sampled again before the read. The
+// slice shares the snapshot's lifetime.
+func (st *GPUStat) MemSeries() []float64 {
+	if st.mem == nil {
+		return nil
+	}
+	return st.mem.series()
+}
+
+// SetMemSeries fixes the series MemSeries returns, for stats built outside
+// an aggregator.
+func (st *GPUStat) SetMemSeries(vals []float64) { st.mem = &memWindow{vals: vals} }
+
+// memWindow is one device's memory series, downsampled from its node's
+// database on the first read of each snapshot into the aggregator's value
+// arena. vals is capacity-capped, so later arena growth cannot clobber it.
+type memWindow struct {
+	agg   *Aggregator // nil for a fixed series (SetMemSeries)
+	db    *tsdb.DB
+	id    tsdb.SeriesID
+	bound uint64 // the series' append count when its node was last rebuilt
+	gen   uint64 // the snapshot vals was built for
+	vals  []float64
+}
+
+// series returns the window of the aggregator's current snapshot, building
+// it if this snapshot has not read it yet. The read stops at bound: a
+// sample appended since the node's rebuild — at the snapshot's own instant,
+// or a delayed heartbeat stamped inside the window — is not part of this
+// snapshot, and the node cache holds the rebuild only while the node's
+// sample sequence, and with it every bound, is unchanged.
+func (mw *memWindow) series() []float64 {
+	a := mw.agg
+	if a != nil && mw.gen != a.gen {
+		a.pts = mw.db.DownsampleInto(a.pts[:0], mw.id, mw.bound, a.at-a.w, a.at, a.bucket)
+		start := len(a.vals)
+		for _, p := range a.pts {
+			a.vals = append(a.vals, p.Value)
+		}
+		mw.vals = a.vals[start:len(a.vals):len(a.vals)]
+		mw.gen = a.gen
+		mMemSeriesComputed.Inc()
+	}
+	return mw.vals
 }
 
 // Snapshot is the cluster-wide utilization view at one heartbeat.
@@ -275,9 +329,12 @@ type Aggregator struct {
 	// Snapshot arenas (see Snapshot): per-heartbeat cluster views are carved
 	// out of these reused backing slices instead of fresh allocations. The
 	// stats slice is reassembled every snapshot from the per-node caches;
-	// pts is the downsampling scratch.
+	// vals holds the memory windows read in this snapshot, seqs is the
+	// rebuild scratch and pts the downsampling scratch.
 	stats []GPUStat
 	dead  []int
+	vals  []float64
+	seqs  []uint64
 	pts   []tsdb.Point
 
 	// caches holds one entry per node with that node's last-built stats and
@@ -287,33 +344,25 @@ type Aggregator struct {
 	// heartbeat cost proportional to *changed* nodes — see DESIGN.md §7.
 	caches map[int]*nodeCache
 
-	// memos holds one downsampling memo per device, by position in
-	// Cluster.GPUs(): a rebuild re-sums only the buckets it has not summed
-	// before (tsdb.Memo). memoHits and memoComputed count one snapshot's
-	// buckets for the knots_snapshot_buckets_* counters.
-	memos                  []tsdb.Memo
-	memoHits, memoComputed int
+	// mem holds one lazily built memory window per device, by position in
+	// Cluster.GPUs(). gen numbers snapshots, and at, w and bucket are the
+	// current one's window: a memWindow built under an older gen is rebuilt
+	// on its next read.
+	mem           []memWindow
+	gen           uint64
+	at, w, bucket sim.Time
 }
 
 // nodeCache is one node's last-built snapshot contribution plus everything
 // needed to decide whether it is still exact.
 type nodeCache struct {
-	built   bool
-	builtAt sim.Time
-	seq     uint64   // Monitor.SampleSeq when built
-	window  sim.Time // Window/MaxPoints config the series were built with
-	maxPts  int
-	stale   bool
-	// hasSeries records whether any stat carries a non-empty memory series.
-	// Series content depends on the query time (the window slides), so a
-	// node with series is only reusable at the exact builtAt instant; a node
-	// with all-empty series stays empty at any later time unless it is
-	// sampled again (appends bump seq). The monitor appends all five metrics
-	// at the same instant, so the memory series stands for every ring.
-	hasSeries bool
+	built  bool
+	seq    uint64   // Monitor.SampleSeq when built
+	window sim.Time // Window/MaxPoints config the stats were built with
+	maxPts int
+	stale  bool
 
 	stats []GPUStat
-	vals  []float64
 	conts []*cluster.Container
 }
 
@@ -369,10 +418,15 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		a.caches = make(map[int]*nodeCache)
 	}
 	cl := a.Monitor.Cluster
-	if len(a.memos) != len(cl.GPUs()) {
-		a.memos = make([]tsdb.Memo, len(cl.GPUs()))
+	if a.mem == nil {
+		a.mem = make([]memWindow, len(cl.GPUs()))
+		for i, g := range cl.GPUs() {
+			a.mem[i] = memWindow{agg: a, db: a.Monitor.NodeDB(g.Node), id: a.Monitor.memIDs[i]}
+		}
 	}
-	a.memoHits, a.memoComputed = 0, 0
+	a.gen++
+	a.at, a.w, a.bucket = now, w, w/sim.Time(maxPts)
+	a.vals = a.vals[:0]
 	var hits, rebuilds int
 	for node := 0; node < cl.Cfg.Nodes; node++ {
 		gpus := cl.NodeGPUs(node)
@@ -395,10 +449,10 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 			c = &nodeCache{}
 			a.caches[node] = c
 		}
-		if a.cacheValid(c, gpus, node, now, w, maxPts, stale) {
+		if a.cacheValid(c, gpus, node, w, maxPts, stale) {
 			hits++
 		} else {
-			a.rebuildNode(c, gpus, node, now, w, maxPts, stale)
+			a.rebuildNode(c, gpus, node, w, maxPts, stale)
 			rebuilds++
 		}
 		if stale && len(c.stats) > 0 {
@@ -408,8 +462,6 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 	}
 	mNodeCacheHits.Add(float64(hits))
 	mNodeRebuilds.Add(float64(rebuilds))
-	mBucketMemoHits.Add(float64(a.memoHits))
-	mBucketsComputed.Add(float64(a.memoComputed))
 	snap.Stats = a.stats
 	snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
 	if len(snap.DeadNodes) == 0 {
@@ -439,10 +491,9 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 //
 //   - config and liveness: same Window/MaxPoints, same stale category;
 //   - sampling: the monitor's append sequence is unchanged, so every series
-//     in the node's database holds exactly the points it held at build time;
-//   - window decay: a node with any non-empty series is only exact at the
-//     instant it was built (the sliding window moves with now); a node whose
-//     series were all empty stays empty until it is sampled again;
+//     in the node's database holds exactly the points it held at build time
+//     and the memory windows' bounds still hold (the windows themselves are
+//     read at each snapshot's time, see memWindow);
 //   - binding state: per device — same non-failed composition, same live
 //     Observation (fresh) or last-reported Observation (stale), same free
 //     reservable memory, and the same resident containers. These change via
@@ -451,14 +502,11 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 //
 // Everything here is O(devices-per-node) struct compares — no window reads,
 // no downsampling, no allocation.
-func (a *Aggregator) cacheValid(c *nodeCache, gpus []*cluster.GPU, node int, now, w sim.Time, maxPts int, stale bool) bool {
+func (a *Aggregator) cacheValid(c *nodeCache, gpus []*cluster.GPU, node int, w sim.Time, maxPts int, stale bool) bool {
 	if !c.built || c.window != w || c.maxPts != maxPts || c.stale != stale {
 		return false
 	}
 	if c.seq != a.Monitor.SampleSeq(node) {
-		return false
-	}
-	if c.hasSeries && c.builtAt != now {
 		return false
 	}
 	k := 0
@@ -497,19 +545,20 @@ func (a *Aggregator) cacheValid(c *nodeCache, gpus []*cluster.GPU, node int, now
 }
 
 // rebuildNode rebuilds one node's snapshot contribution into its cache,
-// reusing the cache's arenas across rebuilds.
-func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, now, w sim.Time, maxPts int, stale bool) {
+// reusing the cache's arenas across rebuilds. It reads no window: it pins
+// each device's memory window to the points its series holds now, and the
+// first MemSeries read builds it.
+func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, w sim.Time, maxPts int, stale bool) {
 	c.built = true
-	c.builtAt = now
 	c.seq = a.Monitor.SampleSeq(node)
 	c.window = w
 	c.maxPts = maxPts
 	c.stale = stale
-	c.hasSeries = false
 	c.stats = c.stats[:0]
-	c.vals = c.vals[:0]
 	c.conts = c.conts[:0]
-	for _, g := range gpus {
+	p0 := a.Monitor.pos(gpus[0])
+	a.seqs = a.Monitor.NodeDB(node).Seqs(a.seqs[:0], a.Monitor.memIDs[p0:p0+len(gpus)])
+	for k, g := range gpus {
 		if g.Failed() {
 			continue
 		}
@@ -520,50 +569,21 @@ func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, no
 				obs = last
 			}
 		}
+		mw := &a.mem[p0+k]
+		mw.bound = a.seqs[k]
 		res0 := len(c.conts)
 		c.conts = append(c.conts, g.Containers()...)
-		st := GPUStat{
+		c.stats = append(c.stats, GPUStat{
 			GPU: g,
 			Obs: obs,
 			// Reservations are head-node binding state, known even when the
 			// node's telemetry is not.
 			FreeReservableMB: g.FreeReservableMB(),
 			Resident:         c.conts[res0:len(c.conts):len(c.conts)],
-			MemSeries:        a.memSeriesInto(c, g, now, w, maxPts),
+			mem:              mw,
 			Stale:            stale,
-		}
-		if len(st.MemSeries) > 0 {
-			c.hasSeries = true
-		}
-		c.stats = append(c.stats, st)
+		})
 	}
-}
-
-// memSeriesInto appends the (possibly downsampled) trailing memory window
-// of one device onto the node cache's value arena and returns the appended
-// sub-slice, capacity-capped so later arena growth cannot clobber it. The
-// sub-slice stays valid until the node's next rebuild — which is exactly as
-// long as the cache may serve it.
-func (a *Aggregator) memSeriesInto(c *nodeCache, g *cluster.GPU, now, w sim.Time, maxPts int) []float64 {
-	i := a.Monitor.pos(g)
-	db := a.Monitor.NodeDB(g.Node)
-	if i < 0 || db == nil {
-		return nil
-	}
-	start := len(c.vals)
-	bucket := w / sim.Time(maxPts)
-	memo := &a.memos[i]
-	a.pts = db.DownsampleMemo(a.pts[:0], a.Monitor.ids[i][memIdx], now-w, now, bucket, memo)
-	a.memoHits += memo.Hits
-	a.memoComputed += memo.Computed
-	memo.Hits, memo.Computed = 0, 0
-	for _, p := range a.pts {
-		c.vals = append(c.vals, p.Value)
-	}
-	if len(c.vals) == start {
-		return nil
-	}
-	return c.vals[start:len(c.vals):len(c.vals)]
 }
 
 // clearNodeSet empties (or creates) a reusable node-ID set.

@@ -84,7 +84,7 @@ func TestAggregatorSnapshot(t *testing.T) {
 	if st.FreeReservableMB != g.MemCapMB-3500 {
 		t.Fatalf("FreeReservableMB = %v", st.FreeReservableMB)
 	}
-	if len(st.MemSeries) == 0 {
+	if len(st.MemSeries()) == 0 {
 		t.Fatal("snapshot memory series missing")
 	}
 	if st.Obs.Containers != 1 {
@@ -109,7 +109,7 @@ func TestSnapshotSeriesLength(t *testing.T) {
 		t.Fatalf("bucket = %v, want 78ms", a.Window/sim.Time(a.MaxPoints))
 	}
 	for _, st := range snap.Stats {
-		if got := len(st.MemSeries); got != 65 {
+		if got := len(st.MemSeries()); got != 65 {
 			t.Fatalf("%s: MemSeries has %d points, want 65", st.GPU.ID(), got)
 		}
 	}

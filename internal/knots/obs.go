@@ -18,8 +18,6 @@ var (
 		"Per-node snapshot stats rebuilt because the node changed (dirty).")
 	mNodeCacheHits = obs.Default().Counter("knots_snapshot_node_cache_hits_total",
 		"Per-node snapshot stats reused unchanged from the previous heartbeat.")
-	mBucketMemoHits = obs.Default().Counter("knots_snapshot_buckets_memo_hits_total",
-		"Downsampled window buckets whose mean a snapshot read from the aggregator's memo.")
-	mBucketsComputed = obs.Default().Counter("knots_snapshot_buckets_computed_total",
-		"Downsampled window buckets whose mean a snapshot summed from raw points.")
+	mMemSeriesComputed = obs.Default().Counter("knots_mem_series_computed_total",
+		"Per-device memory windows downsampled on their first read in a snapshot.")
 )

@@ -190,13 +190,13 @@ func TestSnapshotRacesNodeDeathRevival(t *testing.T) {
 	}
 }
 
-// TestSnapshotMemosRaceAppendRow runs the monitor's row appends, plus a
+// TestSnapshotSeriesRaceAppend runs the monitor's row appends, plus a
 // second writer appending rows of its own series into the same node
-// databases, against two aggregators that each read through their own
-// per-device memos. Run under -race. Afterwards every aggregator's memory
-// series must still match a plain DownsampleInto of the same window bit for
-// bit: entries written while the rings moved under them stay exact.
-func TestSnapshotMemosRaceAppendRow(t *testing.T) {
+// databases, against two aggregators that each read every memory window of
+// every snapshot while the rings move. Run under -race. Afterwards every
+// aggregator's memory series must still match a plain Downsample of the
+// same window bit for bit.
+func TestSnapshotSeriesRaceAppend(t *testing.T) {
 	const steps = 300
 	cl := twoPerNodeCluster()
 	mon := NewMonitor(cl, 0)
@@ -224,7 +224,7 @@ func TestSnapshotMemosRaceAppendRow(t *testing.T) {
 	var stop atomic.Bool
 	var writers sync.WaitGroup
 	writers.Add(2)
-	go func() { // heartbeat: one AppendRow per device
+	go func() { // heartbeat: one row append per device
 		defer writers.Done()
 		for i := 0; i < steps; i++ {
 			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
@@ -235,7 +235,7 @@ func TestSnapshotMemosRaceAppendRow(t *testing.T) {
 		row := []float64{1, 2, 3}
 		for i := 0; i < steps; i++ {
 			for node, ids := range extra {
-				mon.NodeDB(node).AppendRow(ids, sim.Time(i), row)
+				mon.NodeDB(node).Append(ids, sim.Time(i), row)
 			}
 		}
 	}()
@@ -248,7 +248,7 @@ func TestSnapshotMemosRaceAppendRow(t *testing.T) {
 			for i := 0; i < 50 || !stop.Load(); i++ {
 				snap := agg.Snapshot(sim.Time(clock.Load()))
 				for _, st := range snap.Stats {
-					if n := len(st.MemSeries); n == 0 || n > 66 {
+					if n := len(st.MemSeries()); n == 0 || n > 66 {
 						t.Errorf("%s: %d memory points in a full window", st.GPU.ID(), n)
 						return
 					}
@@ -265,14 +265,15 @@ func TestSnapshotMemosRaceAppendRow(t *testing.T) {
 		snap := agg.Snapshot(end)
 		for _, st := range snap.Stats {
 			g := st.GPU
-			want := mon.NodeDB(g.Node).DownsampleInto(nil, seriesName(g, MetricMem),
+			want := mon.NodeDB(g.Node).Downsample(seriesName(g, MetricMem),
 				end-agg.Window, end, agg.Window/sim.Time(agg.MaxPoints))
-			if len(st.MemSeries) != len(want) {
-				t.Fatalf("aggregator %d %s: %d points, want %d", k, g.ID(), len(st.MemSeries), len(want))
+			got := st.MemSeries()
+			if len(got) != len(want) {
+				t.Fatalf("aggregator %d %s: %d points, want %d", k, g.ID(), len(got), len(want))
 			}
 			for i, p := range want {
-				if math.Float64bits(st.MemSeries[i]) != math.Float64bits(p.Value) {
-					t.Fatalf("aggregator %d %s point %d = %v, want %v", k, g.ID(), i, st.MemSeries[i], p.Value)
+				if math.Float64bits(got[i]) != math.Float64bits(p.Value) {
+					t.Fatalf("aggregator %d %s point %d = %v, want %v", k, g.ID(), i, got[i], p.Value)
 				}
 			}
 		}

@@ -39,7 +39,7 @@ func (g *HarvestGate) Reserve(p *k8s.Pod) float64 { return g.cbp.ReserveFor(p) }
 func (g *HarvestGate) Admit(st *knots.GPUStat, peakSM, reserveMB, committedMB float64) (load float64, ok bool, outcome string) {
 	capMB := st.GPU.MemCapMB
 	load = st.Obs.MemUsedMB
-	if pred, found := forecast.PredictNext(st.MemSeries); found {
+	if pred, found := forecast.PredictNext(st.MemSeries()); found {
 		if pred = forecast.Clamp(pred, 0, capMB); pred > load {
 			load = pred
 		}

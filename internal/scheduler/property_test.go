@@ -37,6 +37,7 @@ func randomSnapshot(rng *rand.Rand, cl *cluster.Cluster) *knots.Snapshot {
 		n := rng.Intn(24)           // 0..23 samples: below and above corrOK's minimum
 		base := rng.Float64() * g.MemCapMB
 		slope := (rng.Float64() - 0.3) * 100
+		var series []float64
 		for i := 0; i < n; i++ {
 			v := base + slope*float64(i) + rng.NormFloat64()*50
 			if v < 0 {
@@ -45,8 +46,9 @@ func randomSnapshot(rng *rand.Rand, cl *cluster.Cluster) *knots.Snapshot {
 			if v > g.MemCapMB {
 				v = g.MemCapMB
 			}
-			st.MemSeries = append(st.MemSeries, v)
+			series = append(series, v)
 		}
+		st.SetMemSeries(series)
 		snap.Stats = append(snap.Stats, st)
 	}
 	return snap
@@ -163,9 +165,11 @@ func TestQuickNoOvercommitAnyAdmissionPath(t *testing.T) {
 			st.Stale = gi%3 == 2 // every third node: degraded telemetry
 			base := (0.1 + 0.3*rng.Float64()) * g.MemCapMB
 			step := (0.2 + 0.8*rng.Float64()) * g.MemCapMB / 64
-			for i := 0; i < 16; i++ {
-				st.MemSeries = append(st.MemSeries, base+step*float64(i))
+			series := make([]float64, 16)
+			for i := range series {
+				series[i] = base + step*float64(i)
 			}
+			st.SetMemSeries(series)
 			snap.Stats = append(snap.Stats, st)
 		}
 		pending := make([]*k8s.Pod, 0, 12)

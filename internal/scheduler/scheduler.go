@@ -511,7 +511,7 @@ func (c *CBP) corrCheck(pod *k8s.Pod, st *knots.GPUStat) (rho float64, computed,
 	if pod.Class != workloads.Batch {
 		return 0, false, true
 	}
-	node := st.MemSeries
+	node := st.MemSeries()
 	if len(node) < 8 || metrics.Variance(node) == 0 {
 		return 0, false, true // empty or flat node: nothing to correlate against
 	}
@@ -699,7 +699,7 @@ func (p *PP) forecastAdmits(st *knots.GPUStat, needMB float64) bool {
 // are deducted from the predicted headroom. Without the deduction two pods
 // admitted in one round double-book the same forecast headroom.
 func (p *PP) forecastCheck(st *knots.GPUStat, needMB, committedMB float64) (pred float64, computed, admit bool, outcome string) {
-	series := st.MemSeries
+	series := st.MemSeries()
 	if len(series) < 8 {
 		return 0, false, false, obs.RejectNoTrend
 	}

@@ -296,9 +296,11 @@ func TestPPForecastPathRefusesDoubleBooking(t *testing.T) {
 	st := knots.GPUStat{GPU: g, FreeReservableMB: capMB}
 	// Linear rising usage: positive lag-1 autocorrelation licenses the AR(1)
 	// forecast, which extrapolates to ~0.41×cap used → 0.59×cap headroom.
-	for i := 0; i < 16; i++ {
-		st.MemSeries = append(st.MemSeries, capMB*(0.25+0.01*float64(i)))
+	series := make([]float64, 16)
+	for i := range series {
+		series[i] = capMB * (0.25 + 0.01*float64(i))
 	}
+	st.SetMemSeries(series)
 	snap.Stats = append(snap.Stats, st)
 
 	// Each pod peaks at 0.35×cap and reserves its full peak (ResizePct 100):

@@ -50,9 +50,9 @@ func TestConcurrentWritersReaders(t *testing.T) {
 		ww.Add(1)
 		go func(w int) {
 			defer ww.Done()
-			name := fmt.Sprintf("w%d", w)
+			id := []SeriesID{db.ID(fmt.Sprintf("w%d", w))}
 			for i := 0; i < points; i++ {
-				db.Append(name, sim.Time(i), float64(w*points+i))
+				db.Append(id, sim.Time(i), []float64{float64(w*points + i)})
 			}
 		}(w)
 	}
@@ -111,13 +111,14 @@ func TestContendedSeriesRingInvariants(t *testing.T) {
 		}()
 	}
 
+	hot := []SeriesID{db.ID("hot")}
 	var ww sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		ww.Add(1)
 		go func() {
 			defer ww.Done()
 			for i := 0; i < perW; i++ {
-				db.Append("hot", sim.Time(clock.Add(1)), 1)
+				db.Append(hot, sim.Time(clock.Add(1)), []float64{1})
 			}
 		}()
 	}

@@ -7,6 +7,7 @@
 package tsdb
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -73,21 +74,35 @@ func (s *series) segments(lo, hi int) (first, second []Point) {
 	return s.buf[i:], s.buf[:j-c]
 }
 
-// windowBounds returns the half-open logical index range [lo, hi) of points
-// with from ≤ At ≤ to. Both binary searches run on the ring in place, so
-// locating a window never allocates.
-func (s *series) windowBounds(from, to sim.Time) (lo, hi int) {
-	if s.n == 0 || from > to {
+// windowBounds returns the half-open logical index range [lo, hi) of the
+// first n points with from ≤ At ≤ to. Both binary searches run on the ring
+// in place, so locating a window never allocates.
+func (s *series) windowBounds(n int, from, to sim.Time) (lo, hi int) {
+	if n == 0 || from > to {
 		return 0, 0
 	}
-	lo = sort.Search(s.n, func(i int) bool { return s.at(i).At >= from })
-	hi = lo + sort.Search(s.n-lo, func(i int) bool { return s.at(lo+i).At > to })
+	lo = sort.Search(n, func(i int) bool { return s.at(i).At >= from })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return s.at(lo+i).At > to })
 	return lo, hi
 }
 
-// windowAppend appends the points of [from, to] to dst, oldest first.
-func (s *series) windowAppend(dst []Point, from, to sim.Time) []Point {
-	first, second := s.segments(s.windowBounds(from, to))
+// upTo returns how many of the retained points are among the first bound
+// points the series ever accepted: the logical prefix a read bounded by an
+// append count sees.
+func (s *series) upTo(bound uint64) int {
+	evicted := s.seq - uint64(s.n)
+	switch {
+	case bound >= s.seq:
+		return s.n
+	case bound <= evicted:
+		return 0
+	}
+	return int(bound - evicted)
+}
+
+// windowAppend appends the logical points [lo, hi) to dst, oldest first.
+func (s *series) windowAppend(dst []Point, lo, hi int) []Point {
+	first, second := s.segments(lo, hi)
 	dst = append(dst, first...)
 	return append(dst, second...)
 }
@@ -95,7 +110,7 @@ func (s *series) windowAppend(dst []Point, from, to sim.Time) []Point {
 // valuesAppend appends the values of the points of [from, to] to dst,
 // oldest first.
 func (s *series) valuesAppend(dst []float64, from, to sim.Time) []float64 {
-	first, second := s.segments(s.windowBounds(from, to))
+	first, second := s.segments(s.windowBounds(s.n, from, to))
 	for _, p := range first {
 		dst = append(dst, p.Value)
 	}
@@ -107,21 +122,18 @@ func (s *series) valuesAppend(dst []float64, from, to sim.Time) []float64 {
 
 // window returns points with From ≤ At ≤ To, oldest first.
 func (s *series) window(from, to sim.Time) []Point {
-	lo, hi := s.windowBounds(from, to)
+	lo, hi := s.windowBounds(s.n, from, to)
 	if lo == hi {
 		return nil
 	}
-	return s.windowAppend(make([]Point, 0, hi-lo), from, to)
+	return s.windowAppend(make([]Point, 0, hi-lo), lo, hi)
 }
 
 func (s *series) lastN(n int) []Point {
 	if n > s.n {
 		n = s.n
 	}
-	first, second := s.segments(s.n-n, s.n)
-	out := make([]Point, 0, n)
-	out = append(out, first...)
-	return append(out, second...)
+	return s.windowAppend(make([]Point, 0, n), s.n-n, s.n)
 }
 
 // DB is a multi-series time-series store.
@@ -181,6 +193,15 @@ func (db *DB) lookup(name string) *series {
 	return db.series[id]
 }
 
+// byID returns the series id, or nil if it has never been appended to or
+// id is not this DB's. The caller holds db.mu.
+func (db *DB) byID(id SeriesID) *series {
+	if uint(id) >= uint(len(db.series)) {
+		return nil
+	}
+	return db.series[id]
+}
+
 // appendLocked records one point, creating the series on its first append
 // and dropping the point if it is older than the series' last one.
 func (db *DB) appendLocked(id SeriesID, at sim.Time, value float64) {
@@ -195,25 +216,35 @@ func (db *DB) appendLocked(id SeriesID, at sim.Time, value float64) {
 	s.append(Point{At: at, Value: value})
 }
 
-// Append records value for the named series at time at. Appends must arrive
-// in non-decreasing time order per series (heartbeat sampling guarantees
-// this); out-of-order points are dropped.
-func (db *DB) Append(name string, at sim.Time, value float64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.appendLocked(db.idLocked(name), at, value)
-}
-
-// AppendRow records values[i] for series ids[i], all at time at, under one
+// Append records values[i] for series ids[i], all at time at, under one
 // lock: one device's counters per heartbeat cost one lock round trip, not
-// one per metric. Each series keeps Append's out-of-order drop. ids must
-// come from this DB's ID and be as long as values.
-func (db *DB) AppendRow(ids []SeriesID, at sim.Time, values []float64) {
+// one per metric. Appends must arrive in non-decreasing time order per
+// series (heartbeat sampling guarantees this); an out-of-order point is
+// dropped from its series. ids must come from this DB's ID and be as long
+// as values.
+func (db *DB) Append(ids []SeriesID, at sim.Time, values []float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i, id := range ids {
 		db.appendLocked(id, at, values[i])
 	}
+}
+
+// Seqs appends onto dst, for each of ids, the number of points its series
+// has ever accepted, all read under one lock. A series with no points
+// counts 0. Passed back to DownsampleInto as the bound, a count pins a
+// read to the points the series held when it was taken.
+func (db *DB) Seqs(dst []uint64, ids []SeriesID) []uint64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, id := range ids {
+		var seq uint64
+		if s := db.byID(id); s != nil {
+			seq = s.seq
+		}
+		dst = append(dst, seq)
+	}
+	return dst
 }
 
 // Window returns the points of name with from ≤ At ≤ to, oldest first.
@@ -238,7 +269,8 @@ func (db *DB) WindowAppend(dst []Point, name string, from, to sim.Time) []Point 
 	if s == nil {
 		return dst
 	}
-	return s.windowAppend(dst, from, to)
+	lo, hi := s.windowBounds(s.n, from, to)
+	return s.windowAppend(dst, lo, hi)
 }
 
 // Values returns just the sample values of Window, for feeding statistics.
@@ -249,7 +281,7 @@ func (db *DB) Values(name string, from, to sim.Time) []float64 {
 	if s == nil {
 		return nil
 	}
-	lo, hi := s.windowBounds(from, to)
+	lo, hi := s.windowBounds(s.n, from, to)
 	if lo == hi {
 		return nil
 	}
@@ -316,32 +348,43 @@ func (db *DB) SeriesNames() []string {
 	return names
 }
 
-// Downsample buckets the window [from, to] into fixed-width buckets and
-// returns one mean-valued point per non-empty bucket, stamped at the bucket
-// start. The aggregator uses this to vary the effective heartbeat without
-// re-sampling the cluster (Fig. 10b's interval sweep).
+// Downsample buckets the window [from, to] of the named series into
+// fixed-width buckets and returns one mean-valued point per non-empty
+// bucket, stamped at the bucket start: DownsampleInto over every point the
+// series holds, into a fresh slice.
 func (db *DB) Downsample(name string, from, to, bucket sim.Time) []Point {
-	out := db.DownsampleInto(nil, name, from, to, bucket)
+	db.mu.RLock()
+	id, ok := db.ids[name]
+	db.mu.RUnlock()
+	if !ok {
+		return nil
+	}
+	out := db.DownsampleInto(nil, id, math.MaxUint64, from, to, bucket)
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
-// DownsampleInto is Downsample appending onto dst — the caller-buffer variant
-// for per-heartbeat window extraction. The buckets are computed straight off
-// the ring buffer, so a warm scratch slice makes the whole read zero-alloc.
-func (db *DB) DownsampleInto(dst []Point, name string, from, to, bucket sim.Time) []Point {
+// DownsampleInto appends the bucket means of the window [from, to] of the
+// series id onto dst, reading only the first bound points the series ever
+// accepted (a count from Seqs; math.MaxUint64 reads them all). The bound
+// makes a read taken later return what a read at the count's moment would
+// have, as long as the ring has not since evicted any point of the window:
+// points appended after it, even ones stamped inside the window, are not
+// seen. bucket ≤ 0 appends the raw points. The buckets are computed
+// straight off the ring, so a warm scratch slice makes the read zero-alloc.
+func (db *DB) DownsampleInto(dst []Point, id SeriesID, bound uint64, from, to, bucket sim.Time) []Point {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := db.lookup(name)
+	s := db.byID(id)
 	if s == nil {
 		return dst
 	}
+	lo, hi := s.windowBounds(s.upTo(bound), from, to)
 	if bucket <= 0 {
-		return s.windowAppend(dst, from, to)
+		return s.windowAppend(dst, lo, hi)
 	}
-	lo, hi := s.windowBounds(from, to)
 	return s.downsampleAppend(dst, lo, hi, from, bucket)
 }
 

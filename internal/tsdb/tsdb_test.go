@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,13 +11,18 @@ import (
 	"kubeknots/internal/sim"
 )
 
+// put appends one point to the named series.
+func put(db *DB, name string, at sim.Time, value float64) {
+	db.Append([]SeriesID{db.ID(name)}, at, []float64{value})
+}
+
 func TestAppendAndLast(t *testing.T) {
 	db := New(10)
 	if _, ok := db.Last("mem"); ok {
 		t.Fatal("Last on empty series should report !ok")
 	}
-	db.Append("mem", 5, 40)
-	db.Append("mem", 10, 55)
+	put(db, "mem", 5, 40)
+	put(db, "mem", 10, 55)
 	p, ok := db.Last("mem")
 	if !ok || p.At != 10 || p.Value != 55 {
 		t.Fatalf("Last = %+v, %v", p, ok)
@@ -25,12 +31,12 @@ func TestAppendAndLast(t *testing.T) {
 
 func TestOutOfOrderDropped(t *testing.T) {
 	db := New(10)
-	db.Append("sm", 10, 1)
-	db.Append("sm", 5, 2) // earlier than last: dropped
+	put(db, "sm", 10, 1)
+	put(db, "sm", 5, 2) // earlier than last: dropped
 	if db.Len("sm") != 1 {
 		t.Fatalf("Len = %d, want 1", db.Len("sm"))
 	}
-	db.Append("sm", 10, 3) // equal time is allowed
+	put(db, "sm", 10, 3) // equal time is allowed
 	if db.Len("sm") != 2 {
 		t.Fatalf("Len = %d, want 2", db.Len("sm"))
 	}
@@ -39,7 +45,7 @@ func TestOutOfOrderDropped(t *testing.T) {
 func TestWindow(t *testing.T) {
 	db := New(100)
 	for i := 0; i < 20; i++ {
-		db.Append("m", sim.Time(i*10), float64(i))
+		put(db, "m", sim.Time(i*10), float64(i))
 	}
 	pts := db.Window("m", 50, 90)
 	if len(pts) != 5 {
@@ -58,8 +64,8 @@ func TestWindow(t *testing.T) {
 
 func TestValues(t *testing.T) {
 	db := New(10)
-	db.Append("m", 1, 10)
-	db.Append("m", 2, 20)
+	put(db, "m", 1, 10)
+	put(db, "m", 2, 20)
 	vs := db.Values("m", 0, 10)
 	if len(vs) != 2 || vs[0] != 10 || vs[1] != 20 {
 		t.Fatalf("Values = %v", vs)
@@ -69,7 +75,7 @@ func TestValues(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	db := New(5)
 	for i := 0; i < 12; i++ {
-		db.Append("m", sim.Time(i), float64(i))
+		put(db, "m", sim.Time(i), float64(i))
 	}
 	if db.Len("m") != 5 {
 		t.Fatalf("Len = %d, want 5", db.Len("m"))
@@ -83,7 +89,7 @@ func TestRingEviction(t *testing.T) {
 func TestLastN(t *testing.T) {
 	db := New(8)
 	for i := 0; i < 6; i++ {
-		db.Append("m", sim.Time(i), float64(i*i))
+		put(db, "m", sim.Time(i), float64(i*i))
 	}
 	pts := db.LastN("m", 3)
 	if len(pts) != 3 || pts[0].At != 3 || pts[2].At != 5 {
@@ -99,9 +105,9 @@ func TestLastN(t *testing.T) {
 
 func TestSeriesNamesSorted(t *testing.T) {
 	db := New(4)
-	db.Append("z", 1, 1)
-	db.Append("a", 1, 1)
-	db.Append("m", 1, 1)
+	put(db, "z", 1, 1)
+	put(db, "a", 1, 1)
+	put(db, "m", 1, 1)
 	names := db.SeriesNames()
 	if len(names) != 3 || names[0] != "a" || names[1] != "m" || names[2] != "z" {
 		t.Fatalf("SeriesNames = %v", names)
@@ -112,7 +118,7 @@ func TestDownsample(t *testing.T) {
 	db := New(100)
 	// Two points per 10ms bucket: values i and i+1.
 	for i := 0; i < 10; i++ {
-		db.Append("m", sim.Time(i*5), float64(i))
+		put(db, "m", sim.Time(i*5), float64(i))
 	}
 	pts := db.Downsample("m", 0, 45, 10)
 	if len(pts) != 5 {
@@ -135,8 +141,8 @@ func TestDownsample(t *testing.T) {
 
 func TestDownsampleSkipsEmptyBuckets(t *testing.T) {
 	db := New(100)
-	db.Append("m", 0, 1)
-	db.Append("m", 95, 2) // buckets 1..8 empty
+	put(db, "m", 0, 1)
+	put(db, "m", 95, 2) // buckets 1..8 empty
 	pts := db.Downsample("m", 0, 100, 10)
 	if len(pts) != 2 {
 		t.Fatalf("expected 2 non-empty buckets, got %d: %+v", len(pts), pts)
@@ -153,7 +159,7 @@ func TestWindowPropertySortedAndBounded(t *testing.T) {
 		at := sim.Time(0)
 		for i := 0; i < 200; i++ {
 			at += sim.Time(r.Intn(5))
-			db.Append("m", at, r.Float64())
+			put(db, "m", at, r.Float64())
 		}
 		from := sim.Time(r.Intn(int(at) + 1))
 		to := from + sim.Time(r.Intn(100))
@@ -182,7 +188,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("s%d", w)
 			for i := 0; i < 1000; i++ {
-				db.Append(name, sim.Time(i), float64(i))
+				put(db, name, sim.Time(i), float64(i))
 				if i%10 == 0 {
 					db.Window(name, 0, sim.Time(i))
 					db.Last(name)
@@ -201,7 +207,7 @@ func TestConcurrentAccess(t *testing.T) {
 func TestDefaultCapacity(t *testing.T) {
 	db := New(0)
 	for i := 0; i < DefaultCapacity+5; i++ {
-		db.Append("m", sim.Time(i), 0)
+		put(db, "m", sim.Time(i), 0)
 	}
 	if db.Len("m") != DefaultCapacity {
 		t.Fatalf("default capacity = %d, want %d", db.Len("m"), DefaultCapacity)
@@ -214,7 +220,7 @@ func fillRandom(rng *rand.Rand, n, capacity int) *DB {
 	at := sim.Time(0)
 	for i := 0; i < n; i++ {
 		at += sim.Time(rng.Intn(5))
-		db.Append("m", at, rng.Float64()*100)
+		put(db, "m", at, rng.Float64()*100)
 	}
 	return db
 }
@@ -276,7 +282,7 @@ func TestDownsampleIntoMatchesDownsample(t *testing.T) {
 		to := from + sim.Time(rng.Intn(150))
 		bucket := sim.Time(rng.Intn(20)) // includes 0: the raw-window fallback
 		want := db.Downsample("m", from, to, bucket)
-		scratch = db.DownsampleInto(scratch[:0], "m", from, to, bucket)
+		scratch = db.DownsampleInto(scratch[:0], db.ID("m"), math.MaxUint64, from, to, bucket)
 		if len(scratch) != len(want) {
 			t.Fatalf("trial %d (bucket %d): DownsampleInto len %d, Downsample len %d",
 				trial, bucket, len(scratch), len(want))
@@ -367,7 +373,7 @@ func TestRingReadsMatchReferenceModel(t *testing.T) {
 		if rng.Intn(10) == 0 {
 			p.At -= 5 // out of order: dropped by both
 		}
-		db.Append("m", p.At, p.Value)
+		put(db, "m", p.At, p.Value)
 		ref.append(p)
 
 		s := db.lookup("m")
@@ -409,7 +415,7 @@ func TestRingReadsMatchReferenceModel(t *testing.T) {
 				}
 			}
 			for _, bucket := range []sim.Time{0, 1, 2, 5, 1000} {
-				pts = db.DownsampleInto(pts[:0], "m", w.from, w.to, bucket)
+				pts = db.DownsampleInto(pts[:0], db.ID("m"), math.MaxUint64, w.from, w.to, bucket)
 				samePoints(t, fmt.Sprintf("%s DownsampleInto(bucket %d)", what, bucket), pts, ref.downsample(w.from, w.to, bucket))
 			}
 		}
