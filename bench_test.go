@@ -276,8 +276,8 @@ func BenchmarkCBPScheduleRound(b *testing.B) {
 }
 
 func BenchmarkAggregatorSnapshot(b *testing.B) {
-	// Worst case for the incremental aggregator: every node is sampled
-	// between snapshots, so every per-node cache is dirty and rebuilt.
+	// The per-heartbeat path: every node is sampled between snapshots, and
+	// every window is read.
 	cl := cluster.New(cluster.DefaultConfig())
 	mon := knots.NewMonitor(cl, 0)
 	// Warm every series with a window of heartbeats so Snapshot walks real
@@ -309,8 +309,7 @@ func readAllSeries(snap *knots.Snapshot) {
 func BenchmarkAggregatorSnapshot10ms(b *testing.B) {
 	// fig9's cadence: a 10 ms heartbeat fills each 78 ms bucket with 7-8
 	// points (the 100 ms benchmark above has one point per bucket). Every
-	// node is sampled between snapshots, so every node is rebuilt, and every
-	// window is read.
+	// node is sampled between snapshots, and every window is read.
 	cl := cluster.New(cluster.DefaultConfig())
 	mon := knots.NewMonitor(cl, 0)
 	now := sim.Time(0)
@@ -346,9 +345,9 @@ func BenchmarkMonitorSample(b *testing.B) {
 }
 
 func BenchmarkAggregatorSnapshotReplay(b *testing.B) {
-	// Best case: nothing changed since the last snapshot, so every node is
-	// served from its cache (the same-instant replay the scheduler hits
-	// when it snapshots more often than the monitor samples).
+	// A same-instant re-snapshot with no sample in between, as when the
+	// scheduler snapshots more often than the monitor samples. No window
+	// is read.
 	cl := cluster.New(cluster.DefaultConfig())
 	mon := knots.NewMonitor(cl, 0)
 	now := sim.Time(0)
@@ -366,9 +365,8 @@ func BenchmarkAggregatorSnapshotReplay(b *testing.B) {
 }
 
 func BenchmarkAggregatorSnapshotDirtyFew(b *testing.B) {
-	// O(dirty-nodes) case: a 32-node cluster where only node 0 reports each
-	// heartbeat (the rest are down, their databases empty), so every
-	// snapshot rebuilds one node and replays 31 from cache.
+	// A 32-node cluster where only node 0 reports each heartbeat: the other
+	// 31 nodes are down and their databases empty. No window is read.
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 32
 	cl := cluster.New(cfg)

@@ -27,13 +27,11 @@ var (
 		obs.LatencyBuckets, "sched", "gpus")
 	mScaleSnapshot = obs.Default().HistogramVec("scale_snapshot_seconds",
 		"Wall time of one aggregator snapshot in the fig-scale study.",
-		obs.LatencyBuckets, "gpus", "mode")
-	// Same families the knots aggregator increments; registering here
-	// fetches the existing instruments so the study can read deltas.
+		obs.LatencyBuckets, "gpus")
+	// The family the knots aggregator increments; registering here fetches
+	// the existing instrument so the study can read deltas.
 	mScaleRebuilds = obs.Default().Counter("knots_snapshot_node_rebuilds_total",
-		"Per-node snapshot stats rebuilt because the node changed (dirty).")
-	mScaleHits = obs.Default().Counter("knots_snapshot_node_cache_hits_total",
-		"Per-node snapshot stats reused unchanged from the previous heartbeat.")
+		"Per-node snapshot stats built: every live node in every snapshot.")
 )
 
 // ScaleSizes is the default GPU-count ladder of the fig-scale study.
@@ -138,50 +136,24 @@ func (r *scaleRig) timeRound(schedName string, repeats, gpus int) float64 {
 	return best
 }
 
-// aggCost is the fig-scale aggregator measurement at one cluster size.
-type aggCost struct {
-	AllDirtySec    float64 // snapshot cost when every node sampled since last build
-	ReplaySec      float64 // snapshot cost when nothing changed (pure cache replay)
-	AllRebuildsPer float64 // node rebuilds per all-dirty snapshot
-	ReplayRebuilds float64 // node rebuilds per replay snapshot (0 = fully incremental)
-	ReplayHitsPer  float64 // cache hits per replay snapshot
-}
-
-// measureAggregator times the two extremes of the dirty-tracking design:
-// every node dirty (sample each heartbeat, the worst case) versus no node
-// dirty (re-snapshot the same instant, the pure-replay best case).
-func (r *scaleRig) measureAggregator(iters, gpus int) aggCost {
-	var out aggCost
+// measureAggregator times the per-heartbeat snapshot: sample every node,
+// then snapshot, iters times. It returns the minimum snapshot cost and the
+// nodes built per snapshot.
+func (r *scaleRig) measureAggregator(iters, gpus int) (sec, builtPer float64) {
 	step := 100 * sim.Millisecond
-
-	reb0, hit0 := mScaleRebuilds.Value(), mScaleHits.Value()
+	built0 := mScaleRebuilds.Value()
 	for i := 0; i < iters; i++ {
 		r.now += step
 		r.mon.Sample(r.now)
 		start := time.Now()
 		r.snap = r.agg.Snapshot(r.now)
 		d := time.Since(start).Seconds()
-		mScaleSnapshot.With(fmt.Sprintf("%d", gpus), "all-dirty").Observe(d)
-		if i == 0 || d < out.AllDirtySec {
-			out.AllDirtySec = d
+		mScaleSnapshot.With(fmt.Sprintf("%d", gpus)).Observe(d)
+		if i == 0 || d < sec {
+			sec = d
 		}
 	}
-	out.AllRebuildsPer = (mScaleRebuilds.Value() - reb0) / float64(iters)
-	_ = hit0
-
-	reb0, hit0 = mScaleRebuilds.Value(), mScaleHits.Value()
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		r.snap = r.agg.Snapshot(r.now)
-		d := time.Since(start).Seconds()
-		mScaleSnapshot.With(fmt.Sprintf("%d", gpus), "replay").Observe(d)
-		if i == 0 || d < out.ReplaySec {
-			out.ReplaySec = d
-		}
-	}
-	out.ReplayRebuilds = (mScaleRebuilds.Value() - reb0) / float64(iters)
-	out.ReplayHitsPer = (mScaleHits.Value() - hit0) / float64(iters)
-	return out
+	return sec, (mScaleRebuilds.Value() - built0) / float64(iters)
 }
 
 func fus(sec float64) string { return fmt.Sprintf("%.0f", sec*1e6) }
@@ -200,7 +172,7 @@ func figScale(p scaleParams) []*Table {
 	agg := &Table{
 		ID:     "fig-scale-agg",
 		Title:  "Aggregator snapshot cost vs cluster size (µs)",
-		Header: []string{"gpus", "all-dirty", "replay", "speedup", "rebuilds/snap", "replay-rebuilds", "replay-hits"},
+		Header: []string{"gpus", "snapshot", "rebuilds/snap"},
 	}
 
 	for _, gpus := range p.Sizes {
@@ -213,16 +185,9 @@ func figScale(p scaleParams) []*Table {
 		}
 		round.AddRow(row...)
 
-		c := r.measureAggregator(p.Repeats+2, gpus)
-		speedup := 0.0
-		if c.ReplaySec > 0 {
-			speedup = c.AllDirtySec / c.ReplaySec
-		}
-		agg.AddRow(fmt.Sprintf("%d", gpus), fus(c.AllDirtySec), fus(c.ReplaySec),
-			f1(speedup), f1(c.AllRebuildsPer), f1(c.ReplayRebuilds), f1(c.ReplayHitsPer))
+		sec, builtPer := r.measureAggregator(p.Repeats+2, gpus)
+		agg.AddRow(fmt.Sprintf("%d", gpus), fus(sec), f1(builtPer))
 	}
-	agg.Notes = append(agg.Notes,
-		"replay-rebuilds 0.0 at every size is the O(dirty-nodes) invariant: unchanged nodes are served from per-node caches")
 
 	return []*Table{round, agg}
 }

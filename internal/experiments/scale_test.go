@@ -57,24 +57,6 @@ func TestFigScaleShape(t *testing.T) {
 	}
 }
 
-// TestFigScaleAggregatorIncremental pins the O(dirty-nodes) claim on the
-// study's own measurement path: a replay snapshot (nothing changed) must
-// rebuild zero nodes and serve every node from cache.
-func TestFigScaleAggregatorIncremental(t *testing.T) {
-	p := smallScale()
-	r := newScaleRig(16, p)
-	c := r.measureAggregator(3, 16)
-	if c.ReplayRebuilds != 0 {
-		t.Fatalf("replay rebuilds per snapshot = %v, want 0", c.ReplayRebuilds)
-	}
-	if c.ReplayHitsPer <= 0 {
-		t.Fatalf("replay cache hits per snapshot = %v, want > 0", c.ReplayHitsPer)
-	}
-	if c.AllRebuildsPer <= 0 {
-		t.Fatalf("all-dirty rebuilds per snapshot = %v, want > 0", c.AllRebuildsPer)
-	}
-}
-
 // TestFigScaleDispatch pins the CLI wiring: fig-scale resolves by name but
 // is excluded from "all" (its cells are nondeterministic timings).
 func TestFigScaleDispatch(t *testing.T) {

@@ -60,9 +60,9 @@ type Monitor struct {
 	// mu guards the liveness state below; the sampling DBs lock themselves.
 	mu         sync.RWMutex
 	down       []bool                // by node
-	lastSample []sim.Time            // by node; valid once seq > 0
-	seq        []uint64              // by node: append sequence, bumps on every sample
-	lastObs    []cluster.Observation // by device; valid once its node's seq > 0
+	reported   []bool                // by node: sampled at least once
+	lastSample []sim.Time            // by node; valid once reported
+	lastObs    []cluster.Observation // by device; valid once its node reported
 }
 
 // NewMonitor creates a monitor with one node-local DB per node; capacity is
@@ -79,8 +79,8 @@ func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 		ids:        make([][numMetrics]tsdb.SeriesID, len(gpus)),
 		memIDs:     make([]tsdb.SeriesID, len(gpus)),
 		down:       make([]bool, nodes),
+		reported:   make([]bool, nodes),
 		lastSample: make([]sim.Time, nodes),
-		seq:        make([]uint64, nodes),
 		lastObs:    make([]cluster.Observation, len(gpus)),
 	}
 	for i, g := range gpus {
@@ -125,25 +125,12 @@ func (m *Monitor) Sample(now sim.Time) {
 		o := g.Obs
 		row := [numMetrics]float64{o.SMPct, o.MemUsedMB, o.PowerW, o.TxMBps, o.RxMBps}
 		m.dbs[node].Append(m.ids[i][:], now, row[:])
+		m.reported[node] = true
 		m.lastSample[node] = now
 		m.lastObs[i] = o
-		m.seq[node]++
 		sampled++
 	}
 	mGPUSamples.Add(float64(sampled))
-}
-
-// SampleSeq returns a node's append sequence number: it advances every time
-// the node is sampled, so an unchanged sequence guarantees the node's
-// databases hold exactly the points they held before. The aggregator's
-// per-node dirty tracking keys off it. Unknown nodes report 0.
-func (m *Monitor) SampleSeq(node int) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if uint(node) >= uint(len(m.seq)) {
-		return 0
-	}
-	return m.seq[node]
 }
 
 // SetNodeDown marks one node's monitor down (true) or back up (false).
@@ -157,18 +144,11 @@ func (m *Monitor) SetNodeDown(node int, down bool) {
 	}
 }
 
-// NodeDown reports whether a node's monitor is marked down.
-func (m *Monitor) NodeDown(node int) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return uint(node) < uint(len(m.down)) && m.down[node]
-}
-
 // LastSample returns when a node last reported, and whether it ever has.
 func (m *Monitor) LastSample(node int) (sim.Time, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if uint(node) >= uint(len(m.seq)) || m.seq[node] == 0 {
+	if uint(node) >= uint(len(m.reported)) || !m.reported[node] {
 		return 0, false
 	}
 	return m.lastSample[node], true
@@ -183,7 +163,7 @@ func (m *Monitor) LastObs(g *cluster.GPU) (cluster.Observation, bool) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.seq[g.Node] == 0 {
+	if !m.reported[g.Node] {
 		return cluster.Observation{}, false
 	}
 	return m.lastObs[i], true
@@ -247,17 +227,16 @@ type memWindow struct {
 	agg   *Aggregator // nil for a fixed series (SetMemSeries)
 	db    *tsdb.DB
 	id    tsdb.SeriesID
-	bound uint64 // the series' append count when its node was last rebuilt
+	bound uint64 // the series' append count when the snapshot built its node
 	gen   uint64 // the snapshot vals was built for
 	vals  []float64
 }
 
 // series returns the window of the aggregator's current snapshot, building
 // it if this snapshot has not read it yet. The read stops at bound: a
-// sample appended since the node's rebuild — at the snapshot's own instant,
-// or a delayed heartbeat stamped inside the window — is not part of this
-// snapshot, and the node cache holds the rebuild only while the node's
-// sample sequence, and with it every bound, is unchanged.
+// sample appended since the snapshot built the node — at the snapshot's own
+// instant, or a delayed heartbeat stamped inside the window — is not part
+// of this snapshot.
 func (mw *memWindow) series() []float64 {
 	a := mw.agg
 	if a != nil && mw.gen != a.gen {
@@ -282,20 +261,6 @@ type Snapshot struct {
 	DeadNodes []int
 }
 
-// Active returns the stats of GPUs that are awake (the paper's scheduler
-// queries "all active GPU nodes ... excluding the GPUs which are in deep
-// sleep power state" — but placement may still wake a sleeping device, so
-// callers choose).
-func (s *Snapshot) Active() []GPUStat {
-	var out []GPUStat
-	for _, st := range s.Stats {
-		if !st.Obs.Asleep {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // Aggregator is the head-node utilization aggregator.
 type Aggregator struct {
 	Monitor *Monitor
@@ -317,32 +282,23 @@ type Aggregator struct {
 	// baseline byte-for-byte.
 	DeadAfter sim.Time
 
-	// prevStale/prevDead remember each node's liveness state from the last
-	// snapshot so boundary crossings count once, not once per heartbeat.
-	// curStale/curDead are the double-buffered working sets, swapped with
-	// prev* at the end of every snapshot instead of reallocated.
-	prevStale map[int]bool
-	prevDead  map[int]bool
-	curStale  map[int]bool
-	curDead   map[int]bool
+	// wasStale and wasDead hold each node's liveness at the last snapshot,
+	// by node, so that a boundary crossing counts once, not once per
+	// heartbeat.
+	wasStale []bool
+	wasDead  []bool
 
 	// Snapshot arenas (see Snapshot): per-heartbeat cluster views are carved
-	// out of these reused backing slices instead of fresh allocations. The
-	// stats slice is reassembled every snapshot from the per-node caches;
-	// vals holds the memory windows read in this snapshot, seqs is the
-	// rebuild scratch and pts the downsampling scratch.
+	// out of these reused backing slices instead of fresh allocations.
+	// stats and conts hold every live node's stats and residents, dead the
+	// dead-node list, vals the memory windows read in this snapshot, seqs
+	// the node-build scratch and pts the downsampling scratch.
 	stats []GPUStat
+	conts []*cluster.Container
 	dead  []int
 	vals  []float64
 	seqs  []uint64
 	pts   []tsdb.Point
-
-	// caches holds one entry per node with that node's last-built stats and
-	// their backing arenas. A node whose inputs are unchanged since the last
-	// snapshot (same sample sequence, same liveness category, no decayable
-	// series, same binding state) reuses its cached stats wholesale, making
-	// heartbeat cost proportional to *changed* nodes — see DESIGN.md §7.
-	caches map[int]*nodeCache
 
 	// mem holds one lazily built memory window per device, by position in
 	// Cluster.GPUs(). gen numbers snapshots, and at, w and bucket are the
@@ -351,19 +307,6 @@ type Aggregator struct {
 	mem           []memWindow
 	gen           uint64
 	at, w, bucket sim.Time
-}
-
-// nodeCache is one node's last-built snapshot contribution plus everything
-// needed to decide whether it is still exact.
-type nodeCache struct {
-	built  bool
-	seq    uint64   // Monitor.SampleSeq when built
-	window sim.Time // Window/MaxPoints config the stats were built with
-	maxPts int
-	stale  bool
-
-	stats []GPUStat
-	conts []*cluster.Container
 }
 
 // DefaultWindow is the paper's five-second scheduling window.
@@ -409,25 +352,22 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 	if maxPts <= 0 {
 		maxPts = DefaultMaxPoints
 	}
-	snap := &Snapshot{At: now}
 	a.stats = a.stats[:0]
+	a.conts = a.conts[:0]
 	a.dead = a.dead[:0]
-	deadSeen := clearNodeSet(a.curDead)
-	staleSeen := clearNodeSet(a.curStale)
-	if a.caches == nil {
-		a.caches = make(map[int]*nodeCache)
-	}
 	cl := a.Monitor.Cluster
 	if a.mem == nil {
 		a.mem = make([]memWindow, len(cl.GPUs()))
 		for i, g := range cl.GPUs() {
 			a.mem[i] = memWindow{agg: a, db: a.Monitor.NodeDB(g.Node), id: a.Monitor.memIDs[i]}
 		}
+		a.wasStale = make([]bool, len(a.Monitor.dbs))
+		a.wasDead = make([]bool, len(a.Monitor.dbs))
 	}
 	a.gen++
 	a.at, a.w, a.bucket = now, w, w/sim.Time(maxPts)
 	a.vals = a.vals[:0]
-	var hits, rebuilds int
+	built := 0
 	for node := 0; node < cl.Cfg.Nodes; node++ {
 		gpus := cl.NodeGPUs(node)
 		if len(gpus) == 0 {
@@ -436,126 +376,39 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		// Liveness first: a crashed node (whose devices are also failed) must
 		// still be reported dead, not silently skipped.
 		age := a.age(node, now)
-		if a.DeadAfter > 0 && age > a.DeadAfter {
-			if !deadSeen[node] {
-				deadSeen[node] = true
-				a.dead = append(a.dead, node)
-			}
-			continue
-		}
-		stale := a.StaleAfter > 0 && age > a.StaleAfter
-		c := a.caches[node]
-		if c == nil {
-			c = &nodeCache{}
-			a.caches[node] = c
-		}
-		if a.cacheValid(c, gpus, node, w, maxPts, stale) {
-			hits++
+		dead := a.DeadAfter > 0 && age > a.DeadAfter
+		stale := !dead && a.StaleAfter > 0 && age > a.StaleAfter
+		if dead {
+			a.dead = append(a.dead, node)
 		} else {
-			a.rebuildNode(c, gpus, node, w, maxPts, stale)
-			rebuilds++
+			n0 := len(a.stats)
+			a.buildNode(gpus, node, stale)
+			built++
+			stale = stale && len(a.stats) > n0
 		}
-		if stale && len(c.stats) > 0 {
-			staleSeen[node] = true
-		}
-		a.stats = append(a.stats, c.stats...)
-	}
-	mNodeCacheHits.Add(float64(hits))
-	mNodeRebuilds.Add(float64(rebuilds))
-	snap.Stats = a.stats
-	snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
-	if len(snap.DeadNodes) == 0 {
-		snap.DeadNodes = nil
-	}
-	// Count liveness boundary crossings (fresh→stale, live→dead) exactly
-	// once per transition. Pure telemetry: the snapshot itself is unchanged.
-	for node := range staleSeen {
-		if !a.prevStale[node] {
-			mStaleTransitions.Inc()
-		}
-	}
-	for node := range deadSeen {
-		if !a.prevDead[node] {
+		// Count liveness boundary crossings (fresh→stale among nodes with a
+		// live device, live→dead) once per transition. Pure telemetry: the
+		// snapshot itself is unchanged.
+		if dead && !a.wasDead[node] {
 			mDeadTransitions.Inc()
 		}
+		if stale && !a.wasStale[node] {
+			mStaleTransitions.Inc()
+		}
+		a.wasDead[node], a.wasStale[node] = dead, stale
 	}
-	// Swap the double buffers: current becomes previous, and the old previous
-	// is cleared on its next turn as the working set.
-	a.curStale, a.prevStale = a.prevStale, staleSeen
-	a.curDead, a.prevDead = a.prevDead, deadSeen
+	mNodeRebuilds.Add(float64(built))
+	snap := &Snapshot{At: now, Stats: a.stats}
+	if len(a.dead) > 0 {
+		snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
+	}
 	return snap
 }
 
-// cacheValid reports whether a node's cached stats are exactly what a fresh
-// rebuild at now would produce. The checks, in increasing cost:
-//
-//   - config and liveness: same Window/MaxPoints, same stale category;
-//   - sampling: the monitor's append sequence is unchanged, so every series
-//     in the node's database holds exactly the points it held at build time
-//     and the memory windows' bounds still hold (the windows themselves are
-//     read at each snapshot's time, see memWindow);
-//   - binding state: per device — same non-failed composition, same live
-//     Observation (fresh) or last-reported Observation (stale), same free
-//     reservable memory, and the same resident containers. These change via
-//     scheduler bindings, ticks, and failures, none of which touch the
-//     monitor's databases.
-//
-// Everything here is O(devices-per-node) struct compares — no window reads,
-// no downsampling, no allocation.
-func (a *Aggregator) cacheValid(c *nodeCache, gpus []*cluster.GPU, node int, w sim.Time, maxPts int, stale bool) bool {
-	if !c.built || c.window != w || c.maxPts != maxPts || c.stale != stale {
-		return false
-	}
-	if c.seq != a.Monitor.SampleSeq(node) {
-		return false
-	}
-	k := 0
-	for _, g := range gpus {
-		if g.Failed() {
-			continue
-		}
-		if k >= len(c.stats) {
-			return false
-		}
-		st := &c.stats[k]
-		if st.GPU != g {
-			return false
-		}
-		obs := g.Obs
-		if stale {
-			if last, ok := a.Monitor.LastObs(g); ok {
-				obs = last
-			}
-		}
-		if st.Obs != obs || st.FreeReservableMB != g.FreeReservableMB() {
-			return false
-		}
-		res := g.Containers()
-		if len(res) != len(st.Resident) {
-			return false
-		}
-		for i := range res {
-			if res[i] != st.Resident[i] {
-				return false
-			}
-		}
-		k++
-	}
-	return k == len(c.stats)
-}
-
-// rebuildNode rebuilds one node's snapshot contribution into its cache,
-// reusing the cache's arenas across rebuilds. It reads no window: it pins
-// each device's memory window to the points its series holds now, and the
-// first MemSeries read builds it.
-func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, w sim.Time, maxPts int, stale bool) {
-	c.built = true
-	c.seq = a.Monitor.SampleSeq(node)
-	c.window = w
-	c.maxPts = maxPts
-	c.stale = stale
-	c.stats = c.stats[:0]
-	c.conts = c.conts[:0]
+// buildNode appends one live node's stats and residents to the snapshot
+// arenas. It reads no window: it pins each device's memory window to the
+// points its series holds now, and the first MemSeries read builds it.
+func (a *Aggregator) buildNode(gpus []*cluster.GPU, node int, stale bool) {
 	p0 := a.Monitor.pos(gpus[0])
 	a.seqs = a.Monitor.NodeDB(node).Seqs(a.seqs[:0], a.Monitor.memIDs[p0:p0+len(gpus)])
 	for k, g := range gpus {
@@ -571,28 +424,17 @@ func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, w 
 		}
 		mw := &a.mem[p0+k]
 		mw.bound = a.seqs[k]
-		res0 := len(c.conts)
-		c.conts = append(c.conts, g.Containers()...)
-		c.stats = append(c.stats, GPUStat{
+		res0 := len(a.conts)
+		a.conts = append(a.conts, g.Containers()...)
+		a.stats = append(a.stats, GPUStat{
 			GPU: g,
 			Obs: obs,
 			// Reservations are head-node binding state, known even when the
 			// node's telemetry is not.
 			FreeReservableMB: g.FreeReservableMB(),
-			Resident:         c.conts[res0:len(c.conts):len(c.conts)],
+			Resident:         a.conts[res0:len(a.conts):len(a.conts)],
 			mem:              mw,
 			Stale:            stale,
 		})
 	}
-}
-
-// clearNodeSet empties (or creates) a reusable node-ID set.
-func clearNodeSet(m map[int]bool) map[int]bool {
-	if m == nil {
-		return make(map[int]bool)
-	}
-	for k := range m {
-		delete(m, k)
-	}
-	return m
 }

@@ -115,6 +115,9 @@ func TestSnapshotSeriesLength(t *testing.T) {
 	}
 }
 
+// TestSnapshotActiveExcludesSleeping pins what lets a scheduler exclude
+// deep-sleeping GPUs (the paper queries "all active GPU nodes"): the
+// snapshot keeps every device, and only the idle one reads Asleep.
 func TestSnapshotActiveExcludesSleeping(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 2
@@ -134,8 +137,12 @@ func TestSnapshotActiveExcludesSleeping(t *testing.T) {
 		m.Sample(now)
 	}
 	snap := a.Snapshot(3 * sim.Second)
-	active := snap.Active()
-	if len(active) != 1 || active[0].GPU != g {
-		t.Fatalf("Active = %d GPUs, want only the busy one", len(active))
+	if len(snap.Stats) != 2 {
+		t.Fatalf("snapshot has %d GPUs, want both", len(snap.Stats))
+	}
+	for _, st := range snap.Stats {
+		if st.Obs.Asleep != (st.GPU != g) {
+			t.Fatalf("%s: Asleep = %v, want only the idle GPU asleep", st.GPU.ID(), st.Obs.Asleep)
+		}
 	}
 }

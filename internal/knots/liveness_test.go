@@ -127,3 +127,66 @@ func TestDeadFromStartAgesOut(t *testing.T) {
 	}
 	_ = mon
 }
+
+// TestLivenessTransitionsCountOnce pins the stale and dead transition
+// counters: each boundary crossing counts once, staying across it adds
+// nothing, crossing it again after a recovery counts again, and a node
+// without devices never counts.
+func TestLivenessTransitionsCountOnce(t *testing.T) {
+	cl, mon, agg := livenessRig(t)
+	cl.Cfg.Nodes++ // node 3 has no devices and never reports
+	stale0, dead0 := mStaleTransitions.Value(), mDeadTransitions.Value()
+	want := func(label string, stale, dead float64) {
+		t.Helper()
+		gotStale := mStaleTransitions.Value() - stale0
+		gotDead := mDeadTransitions.Value() - dead0
+		if gotStale != stale || gotDead != dead {
+			t.Fatalf("%s: stale transitions = %v, dead = %v; want %v, %v",
+				label, gotStale, gotDead, stale, dead)
+		}
+	}
+	ms := sim.Millisecond
+	advance(cl, mon, 0, sim.Second)
+	agg.Snapshot(sim.Second)
+	want("all fresh", 0, 0)
+
+	// Node 1 goes silent: fresh→stale counts once, staying stale does not.
+	mon.SetNodeDown(1, true)
+	advance(cl, mon, sim.Second, 1200*ms)
+	agg.Snapshot(1200 * ms)
+	want("node 1 stale", 1, 0)
+	advance(cl, mon, 1200*ms, 1300*ms)
+	agg.Snapshot(1300 * ms)
+	want("node 1 still stale", 1, 0)
+
+	// It recovers, then goes stale again: the second crossing counts.
+	mon.SetNodeDown(1, false)
+	advance(cl, mon, 1300*ms, 1400*ms)
+	agg.Snapshot(1400 * ms)
+	want("node 1 recovered", 1, 0)
+	mon.SetNodeDown(1, true)
+	advance(cl, mon, 1400*ms, 1600*ms)
+	agg.Snapshot(1600 * ms)
+	want("node 1 stale again", 2, 0)
+
+	// Past DeadAfter it is dead: live→dead counts once, staying dead does not.
+	advance(cl, mon, 1600*ms, 2000*ms)
+	snap := agg.Snapshot(2000 * ms)
+	if len(snap.DeadNodes) != 1 || snap.DeadNodes[0] != 1 {
+		t.Fatalf("DeadNodes = %v, want [1]", snap.DeadNodes)
+	}
+	want("node 1 dead", 2, 1)
+	advance(cl, mon, 2000*ms, 2200*ms)
+	agg.Snapshot(2200 * ms)
+	want("node 1 still dead", 2, 1)
+
+	// It revives, then dies again without a stale snapshot in between.
+	mon.SetNodeDown(1, false)
+	advance(cl, mon, 2200*ms, 2300*ms)
+	agg.Snapshot(2300 * ms)
+	want("node 1 revived", 2, 1)
+	mon.SetNodeDown(1, true)
+	advance(cl, mon, 2300*ms, 3000*ms)
+	agg.Snapshot(3000 * ms)
+	want("node 1 dead again", 2, 2)
+}

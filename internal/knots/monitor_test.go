@@ -29,9 +29,6 @@ func TestMonitorEdgeSemantics(t *testing.T) {
 		if at, ok := m.LastSample(node); ok || at != 0 {
 			t.Fatalf("never sampled: LastSample(%d) = %v, %v", node, at, ok)
 		}
-		if seq := m.SampleSeq(node); seq != 0 {
-			t.Fatalf("never sampled: SampleSeq(%d) = %d", node, seq)
-		}
 	}
 	for _, g := range append(cl.GPUs(), foreign) {
 		if _, ok := m.LastObs(g); ok {
@@ -42,9 +39,6 @@ func TestMonitorEdgeSemantics(t *testing.T) {
 	// Out-of-range nodes have no monitor: marking them is a no-op.
 	for _, node := range []int{-1, 3, 1 << 20} {
 		m.SetNodeDown(node, true)
-		if m.NodeDown(node) {
-			t.Fatalf("NodeDown(%d) after marking a node without devices", node)
-		}
 		if m.NodeDB(node) != nil {
 			t.Fatalf("NodeDB(%d) is not nil", node)
 		}
@@ -60,10 +54,6 @@ func TestMonitorEdgeSemantics(t *testing.T) {
 	for node := 0; node < 3; node++ {
 		if at, ok := m.LastSample(node); !ok || at != 10 {
 			t.Fatalf("LastSample(%d) = %v, %v; want 10, true", node, at, ok)
-		}
-		// The sequence bumps once per device sampled.
-		if seq := m.SampleSeq(node); seq != 2 {
-			t.Fatalf("SampleSeq(%d) = %d, want 2", node, seq)
 		}
 	}
 	for _, g := range cl.GPUs() {
@@ -83,9 +73,6 @@ func TestMonitorEdgeSemantics(t *testing.T) {
 	sampled := cl.GPUs()[3].Obs
 	m.SetNodeDown(1, true)
 	m.SetNodeDown(1, true)
-	if !m.NodeDown(1) || m.NodeDown(0) {
-		t.Fatal("only node 1 should be down")
-	}
 	c2 := &cluster.Container{ID: "late", Class: prof.Class, Inst: prof.NewInstance(nil)}
 	if err := cl.GPUs()[3].Place(10, c2, 1000); err != nil {
 		t.Fatal(err)
@@ -95,22 +82,19 @@ func TestMonitorEdgeSemantics(t *testing.T) {
 		t.Fatal("test needs the device's observation to change while its node is down")
 	}
 	m.Sample(20)
-	if at, _ := m.LastSample(1); at != 10 || m.SampleSeq(1) != 2 {
-		t.Fatalf("down node sampled: LastSample = %v, SampleSeq = %d", at, m.SampleSeq(1))
+	if at, _ := m.LastSample(1); at != 10 {
+		t.Fatalf("down node sampled: LastSample = %v", at)
 	}
 	if o, _ := m.LastObs(cl.GPUs()[3]); o != sampled {
 		t.Fatal("a down node's LastObs moved")
 	}
-	if at, _ := m.LastSample(0); at != 20 || m.SampleSeq(0) != 4 {
-		t.Fatalf("live node: LastSample = %v, SampleSeq = %d; want 20, 4", at, m.SampleSeq(0))
+	if at, _ := m.LastSample(0); at != 20 {
+		t.Fatalf("live node: LastSample = %v, want 20", at)
 	}
 	m.SetNodeDown(1, false)
-	if m.NodeDown(1) {
-		t.Fatal("node 1 still down after one up")
-	}
 	m.Sample(30)
-	if at, _ := m.LastSample(1); at != 30 || m.SampleSeq(1) != 4 {
-		t.Fatalf("revived node: LastSample = %v, SampleSeq = %d; want 30, 4", at, m.SampleSeq(1))
+	if at, _ := m.LastSample(1); at != 30 {
+		t.Fatalf("revived node: LastSample = %v, want 30", at)
 	}
 	if o, _ := m.LastObs(cl.GPUs()[3]); o != cl.GPUs()[3].Obs {
 		t.Fatal("revived node's LastObs is not the fresh observation")

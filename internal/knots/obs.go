@@ -15,9 +15,7 @@ var (
 	mDeadTransitions = obs.Default().Counter("knots_dead_transitions_total",
 		"Nodes that missed the liveness deadline and dropped from snapshots.")
 	mNodeRebuilds = obs.Default().Counter("knots_snapshot_node_rebuilds_total",
-		"Per-node snapshot stats rebuilt because the node changed (dirty).")
-	mNodeCacheHits = obs.Default().Counter("knots_snapshot_node_cache_hits_total",
-		"Per-node snapshot stats reused unchanged from the previous heartbeat.")
+		"Per-node snapshot stats built: every live node in every snapshot.")
 	mMemSeriesComputed = obs.Default().Counter("knots_mem_series_computed_total",
 		"Per-device memory windows downsampled on their first read in a snapshot.")
 )
