@@ -330,8 +330,9 @@ func BenchmarkAggregatorSnapshot10ms(b *testing.B) {
 
 func BenchmarkMonitorSample(b *testing.B) {
 	// One heartbeat of the node monitor: every device's five counters into
-	// its node database, one locked row per device. The first heartbeat
-	// creates the series, so it runs before the timer.
+	// its node database as one row of its ring, all under one lock of the
+	// monitor. The first heartbeat creates the rings, so it runs before the
+	// timer.
 	cl := cluster.New(cluster.DefaultConfig())
 	mon := knots.NewMonitor(cl, 0)
 	now := sim.Time(0)

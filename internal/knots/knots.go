@@ -49,16 +49,21 @@ func seriesName(g *cluster.GPU, metric string) string {
 // node-major, so a device's position is Node·GPUsPerNode + Index.
 type Monitor struct {
 	Cluster *cluster.Cluster
-	dbs     []*tsdb.DB // by node; nil for a node without devices
-	// ids holds each device's five series IDs in Metrics order, resolved
-	// once here so that a heartbeat neither formats nor hashes a name. The
-	// series themselves are created by their first append. memIDs repeats
-	// each device's memory ID, so that a node's are one contiguous run.
+	// ids holds each device's five series IDs in Metrics order, one group
+	// of its node's DB, resolved once here so that a heartbeat neither
+	// formats nor hashes a name. The group's ring is created by its first
+	// row. memIDs repeats each device's memory ID, so that a node's are one
+	// contiguous run.
 	ids    [][numMetrics]tsdb.SeriesID
 	memIDs []tsdb.SeriesID
 
-	// mu guards the liveness state below; the sampling DBs lock themselves.
+	// mu guards the node DBs and the liveness state below. A DB does no
+	// locking of its own, so every read or write of one, inside this
+	// package or through ReadNodes, holds mu: a heartbeat takes it once for
+	// the whole cluster, and a snapshot takes the read lock once for its
+	// whole node walk.
 	mu         sync.RWMutex
+	dbs        []*tsdb.DB            // by node; nil for a node without devices
 	down       []bool                // by node
 	reported   []bool                // by node: sampled at least once
 	lastSample []sim.Time            // by node; valid once reported
@@ -90,9 +95,11 @@ func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 		if m.dbs[g.Node] == nil {
 			m.dbs[g.Node] = tsdb.New(capacity)
 		}
+		var names [numMetrics]string
 		for k, metric := range Metrics {
-			m.ids[i][k] = m.dbs[g.Node].ID(seriesName(g, metric))
+			names[k] = seriesName(g, metric)
 		}
+		copy(m.ids[i][:], m.dbs[g.Node].Group(names[:]))
 		m.memIDs[i] = m.ids[i][memIdx]
 	}
 	return m
@@ -109,7 +116,8 @@ func (m *Monitor) pos(g *cluster.GPU) int {
 	return i
 }
 
-// Sample records every GPU's current Observation into its node database.
+// Sample records every GPU's current Observation into its node database,
+// one row per device, under one lock round trip for the whole heartbeat.
 // Call once per heartbeat. Nodes marked down (telemetry dropout or crash)
 // are skipped, so their databases — and the head node's view — go stale.
 func (m *Monitor) Sample(now sim.Time) {
@@ -144,46 +152,28 @@ func (m *Monitor) SetNodeDown(node int, down bool) {
 	}
 }
 
-// LastSample returns when a node last reported, and whether it ever has.
-func (m *Monitor) LastSample(node int) (sim.Time, bool) {
+// ReadNodes calls fn with each node's time-series database in node order,
+// skipping nodes without devices, under the monitor's read lock. fn may read
+// db but must not keep it past its return, write it, or call back into the
+// monitor.
+func (m *Monitor) ReadNodes(fn func(node int, db *tsdb.DB)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if uint(node) >= uint(len(m.reported)) || !m.reported[node] {
-		return 0, false
+	for node, db := range m.dbs {
+		if db != nil {
+			fn(node, db)
+		}
 	}
-	return m.lastSample[node], true
-}
-
-// LastObs returns a device's last sampled observation — what a stale head
-// node still believes about it.
-func (m *Monitor) LastObs(g *cluster.GPU) (cluster.Observation, bool) {
-	i := m.pos(g)
-	if i < 0 {
-		return cluster.Observation{}, false
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if !m.reported[g.Node] {
-		return cluster.Observation{}, false
-	}
-	return m.lastObs[i], true
-}
-
-// NodeDB exposes a node's time-series database (nil for an unknown node).
-func (m *Monitor) NodeDB(node int) *tsdb.DB {
-	if uint(node) >= uint(len(m.dbs)) {
-		return nil
-	}
-	return m.dbs[node]
 }
 
 // Series returns the trailing window of one GPU metric, oldest first.
 func (m *Monitor) Series(g *cluster.GPU, metric string, now, window sim.Time) []float64 {
-	db := m.NodeDB(g.Node)
-	if db == nil {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if uint(g.Node) >= uint(len(m.dbs)) || m.dbs[g.Node] == nil {
 		return nil
 	}
-	return db.Values(seriesName(g, metric), now-window, now)
+	return m.dbs[g.Node].Values(seriesName(g, metric), now-window, now)
 }
 
 // GPUStat is the aggregator's per-device view handed to schedulers.
@@ -225,7 +215,7 @@ func (st *GPUStat) SetMemSeries(vals []float64) { st.mem = &memWindow{vals: vals
 // arena. vals is capacity-capped, so later arena growth cannot clobber it.
 type memWindow struct {
 	agg   *Aggregator // nil for a fixed series (SetMemSeries)
-	db    *tsdb.DB
+	node  int
 	id    tsdb.SeriesID
 	bound uint64 // the series' append count when the snapshot built its node
 	gen   uint64 // the snapshot vals was built for
@@ -240,7 +230,10 @@ type memWindow struct {
 func (mw *memWindow) series() []float64 {
 	a := mw.agg
 	if a != nil && mw.gen != a.gen {
-		a.pts = mw.db.DownsampleInto(a.pts[:0], mw.id, mw.bound, a.at-a.w, a.at, a.bucket)
+		m := a.Monitor
+		m.mu.RLock()
+		a.pts = m.dbs[mw.node].DownsampleInto(a.pts[:0], mw.id, mw.bound, a.at-a.w, a.at, a.bucket)
+		m.mu.RUnlock()
 		start := len(a.vals)
 		for _, p := range a.pts {
 			a.vals = append(a.vals, p.Value)
@@ -322,10 +315,11 @@ func NewAggregator(m *Monitor) *Aggregator {
 
 // age returns how long a node has been silent. Never-sampled nodes count
 // from the start of the run, so a node that is down from t=0 still ages out.
+// The caller holds the monitor's lock.
 func (a *Aggregator) age(node int, now sim.Time) sim.Time {
-	last, ok := a.Monitor.LastSample(node)
-	if !ok {
-		last = 0
+	var last sim.Time
+	if m := a.Monitor; m.reported[node] {
+		last = m.lastSample[node]
 	}
 	return now - last
 }
@@ -355,19 +349,24 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 	a.stats = a.stats[:0]
 	a.conts = a.conts[:0]
 	a.dead = a.dead[:0]
-	cl := a.Monitor.Cluster
+	m := a.Monitor
+	cl := m.Cluster
 	if a.mem == nil {
 		a.mem = make([]memWindow, len(cl.GPUs()))
 		for i, g := range cl.GPUs() {
-			a.mem[i] = memWindow{agg: a, db: a.Monitor.NodeDB(g.Node), id: a.Monitor.memIDs[i]}
+			a.mem[i] = memWindow{agg: a, node: g.Node, id: m.memIDs[i]}
 		}
-		a.wasStale = make([]bool, len(a.Monitor.dbs))
-		a.wasDead = make([]bool, len(a.Monitor.dbs))
+		a.wasStale = make([]bool, len(m.dbs))
+		a.wasDead = make([]bool, len(m.dbs))
 	}
 	a.gen++
 	a.at, a.w, a.bucket = now, w, w/sim.Time(maxPts)
 	a.vals = a.vals[:0]
 	built := 0
+	// One read lock covers the whole walk: every node's age, last
+	// observations and append counts come from the same monitor state.
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	for node := 0; node < cl.Cfg.Nodes; node++ {
 		gpus := cl.NodeGPUs(node)
 		if len(gpus) == 0 {
@@ -407,20 +406,20 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 
 // buildNode appends one live node's stats and residents to the snapshot
 // arenas. It reads no window: it pins each device's memory window to the
-// points its series holds now, and the first MemSeries read builds it.
+// points its series holds now, and the first MemSeries read builds it. The
+// caller holds the monitor's lock.
 func (a *Aggregator) buildNode(gpus []*cluster.GPU, node int, stale bool) {
-	p0 := a.Monitor.pos(gpus[0])
-	a.seqs = a.Monitor.NodeDB(node).Seqs(a.seqs[:0], a.Monitor.memIDs[p0:p0+len(gpus)])
+	m := a.Monitor
+	p0 := m.pos(gpus[0])
+	a.seqs = m.dbs[node].Seqs(a.seqs[:0], m.memIDs[p0:p0+len(gpus)])
 	for k, g := range gpus {
 		if g.Failed() {
 			continue
 		}
 		obs := g.Obs
-		if stale {
+		if stale && m.reported[node] {
 			// The head node only knows what the node last reported.
-			if last, ok := a.Monitor.LastObs(g); ok {
-				obs = last
-			}
+			obs = m.lastObs[p0+k]
 		}
 		mw := &a.mem[p0+k]
 		mw.bound = a.seqs[k]

@@ -19,11 +19,10 @@ func TestMonitorSamplesFiveMetrics(t *testing.T) {
 	m := NewMonitor(cl, 0)
 	cl.Tick(0, 10*sim.Millisecond)
 	m.Sample(0)
-	db := m.NodeDB(0)
-	if db == nil {
+	names, ok := nodeSeries(m)[0]
+	if !ok {
 		t.Fatal("node DB missing")
 	}
-	names := db.SeriesNames()
 	if len(names) != len(Metrics) {
 		t.Fatalf("series per node = %d, want %d (%v)", len(names), len(Metrics), names)
 	}

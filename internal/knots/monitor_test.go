@@ -1,10 +1,12 @@
 package knots
 
 import (
+	"fmt"
 	"testing"
 
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/sim"
+	"kubeknots/internal/tsdb"
 	"kubeknots/internal/workloads"
 )
 
@@ -17,98 +19,140 @@ func twoPerNodeCluster() *cluster.Cluster {
 	return cluster.New(cfg)
 }
 
-// TestMonitorEdgeSemantics pins what the slice-backed monitor state reports
-// for nodes and devices it has never sampled or does not know, and across
-// down/up flapping.
+// nodeSeries returns the series names each node's DB lists, read through
+// the monitor's visitor.
+func nodeSeries(m *Monitor) map[int][]string {
+	out := map[int][]string{}
+	m.ReadNodes(func(node int, db *tsdb.DB) { out[node] = db.SeriesNames() })
+	return out
+}
+
+// nodeStates returns each node's liveness in a snapshot: "fresh", "stale"
+// or "dead", by node.
+func nodeStates(snap *Snapshot) map[int]string {
+	out := map[int]string{}
+	for _, st := range snap.Stats {
+		out[st.GPU.Node] = "fresh"
+		if st.Stale {
+			out[st.GPU.Node] = "stale"
+		}
+	}
+	for _, n := range snap.DeadNodes {
+		out[n] = "dead"
+	}
+	return out
+}
+
+// statOf returns g's stat in snap, failing the test if it has none.
+func statOf(t *testing.T, snap *Snapshot, g *cluster.GPU) GPUStat {
+	t.Helper()
+	for _, st := range snap.Stats {
+		if st.GPU == g {
+			return st
+		}
+	}
+	t.Fatalf("%s missing from the snapshot", g.ID())
+	return GPUStat{}
+}
+
+// TestMonitorEdgeSemantics pins, through the aggregator's snapshot, what
+// the slice-backed monitor state reports for nodes it has never sampled or
+// does not know, for another cluster's devices, and across down/up
+// flapping.
 func TestMonitorEdgeSemantics(t *testing.T) {
+	ms := sim.Millisecond
 	cl := twoPerNodeCluster()
 	m := NewMonitor(cl, 0)
-	foreign := twoPerNodeCluster().GPUs()[3] // same node and index, other cluster
-
-	for _, node := range []int{-1, 0, 2, 3, 1 << 20} {
-		if at, ok := m.LastSample(node); ok || at != 0 {
-			t.Fatalf("never sampled: LastSample(%d) = %v, %v", node, at, ok)
+	agg := NewAggregator(m)
+	agg.StaleAfter, agg.DeadAfter = 100*ms, 500*ms
+	// A twin cluster has devices at the same nodes and indices; its monitor
+	// is never sampled.
+	twin := NewAggregator(NewMonitor(twoPerNodeCluster(), 0))
+	twin.StaleAfter, twin.DeadAfter = agg.StaleAfter, agg.DeadAfter
+	want := func(label string, snap *Snapshot, states string) {
+		t.Helper()
+		if got := fmt.Sprint(nodeStates(snap)); got != states {
+			t.Fatalf("%s: node states %s, want %s", label, got, states)
 		}
 	}
-	for _, g := range append(cl.GPUs(), foreign) {
-		if _, ok := m.LastObs(g); ok {
-			t.Fatalf("never sampled: LastObs(%s) reported an observation", g.ID())
-		}
-	}
 
-	// Out-of-range nodes have no monitor: marking them is a no-op.
+	// Out-of-range nodes have no monitor: marking them is a no-op, and the
+	// visitor lists only the nodes with devices.
 	for _, node := range []int{-1, 3, 1 << 20} {
 		m.SetNodeDown(node, true)
-		if m.NodeDB(node) != nil {
-			t.Fatalf("NodeDB(%d) is not nil", node)
+	}
+	var visited []int
+	m.ReadNodes(func(node int, _ *tsdb.DB) { visited = append(visited, node) })
+	if fmt.Sprint(visited) != "[0 1 2]" {
+		t.Fatalf("ReadNodes visited %v, want [0 1 2]", visited)
+	}
+
+	// Never sampled: every node ages from t=0, and a stale one has no last
+	// sample to fall back on, so its stats carry the live observation.
+	want("never sampled at StaleAfter", agg.Snapshot(100*ms), "map[0:fresh 1:fresh 2:fresh]")
+	snap := agg.Snapshot(101 * ms)
+	want("never sampled past StaleAfter", snap, "map[0:stale 1:stale 2:stale]")
+	for _, g := range cl.GPUs() {
+		if st := statOf(t, snap, g); st.Obs != g.Obs {
+			t.Fatalf("never-sampled stale %s: Obs = %+v, want the live %+v", g.ID(), st.Obs, g.Obs)
 		}
 	}
+	want("never sampled past DeadAfter", agg.Snapshot(501*ms), "map[0:dead 1:dead 2:dead]")
 
 	prof := workloads.RodiniaProfile(workloads.KMeans)
+	busy := cl.GPUs()[3]
 	c := &cluster.Container{ID: "busy", Class: prof.Class, Inst: prof.NewInstance(nil)}
-	if err := cl.GPUs()[3].Place(0, c, 2000); err != nil {
+	if err := busy.Place(0, c, 2000); err != nil {
 		t.Fatal(err)
 	}
-	cl.Tick(0, 10*sim.Millisecond)
-	m.Sample(10)
-	for node := 0; node < 3; node++ {
-		if at, ok := m.LastSample(node); !ok || at != 10 {
-			t.Fatalf("LastSample(%d) = %v, %v; want 10, true", node, at, ok)
-		}
-	}
-	for _, g := range cl.GPUs() {
-		if o, ok := m.LastObs(g); !ok || o != g.Obs {
-			t.Fatalf("LastObs(%s) = %+v, %v; want the sampled observation", g.ID(), o, ok)
-		}
-	}
-	if _, ok := m.LastObs(foreign); ok {
-		t.Fatal("LastObs reported an observation for another cluster's device")
-	}
-	if at, ok := m.LastSample(3); ok || at != 0 {
-		t.Fatalf("out of range: LastSample(3) = %v, %v", at, ok)
-	}
+	cl.Tick(0, 10*ms)
+	m.Sample(sim.Second)
+	want("sampled", agg.Snapshot(sim.Second), "map[0:fresh 1:fresh 2:fresh]")
+	// Another cluster's devices read as never sampled.
+	want("twin cluster", twin.Snapshot(sim.Second), "map[0:dead 1:dead 2:dead]")
 
-	// Node 1 flaps: marking it down twice and up once leaves it up; while
-	// down it keeps its last sample.
-	sampled := cl.GPUs()[3].Obs
+	// Node 1 flaps: marking it down twice and up once leaves it up. While
+	// down it is not sampled, and once stale its stats carry the last
+	// sampled observation, not the live one.
+	sampled := busy.Obs
 	m.SetNodeDown(1, true)
 	m.SetNodeDown(1, true)
 	c2 := &cluster.Container{ID: "late", Class: prof.Class, Inst: prof.NewInstance(nil)}
-	if err := cl.GPUs()[3].Place(10, c2, 1000); err != nil {
+	if err := busy.Place(10, c2, 1000); err != nil {
 		t.Fatal(err)
 	}
-	cl.Tick(10, 10*sim.Millisecond)
-	if cl.GPUs()[3].Obs == sampled {
+	cl.Tick(10, 10*ms)
+	if busy.Obs == sampled {
 		t.Fatal("test needs the device's observation to change while its node is down")
 	}
-	m.Sample(20)
-	if at, _ := m.LastSample(1); at != 10 {
-		t.Fatalf("down node sampled: LastSample = %v", at)
+	m.Sample(sim.Second + 200*ms)
+	snap = agg.Snapshot(sim.Second + 200*ms)
+	want("node 1 down", snap, "map[0:fresh 1:stale 2:fresh]")
+	if st := statOf(t, snap, busy); st.Obs != sampled {
+		t.Fatalf("stale %s: Obs = %+v, want the last sample %+v", busy.ID(), st.Obs, sampled)
 	}
-	if o, _ := m.LastObs(cl.GPUs()[3]); o != sampled {
-		t.Fatal("a down node's LastObs moved")
-	}
-	if at, _ := m.LastSample(0); at != 20 {
-		t.Fatalf("live node: LastSample = %v, want 20", at)
+	if st := statOf(t, snap, cl.GPUs()[1]); st.Obs != cl.GPUs()[1].Obs {
+		t.Fatal("a live node's stat does not carry its fresh observation")
 	}
 	m.SetNodeDown(1, false)
-	m.Sample(30)
-	if at, _ := m.LastSample(1); at != 30 {
-		t.Fatalf("revived node: LastSample = %v, want 30", at)
-	}
-	if o, _ := m.LastObs(cl.GPUs()[3]); o != cl.GPUs()[3].Obs {
-		t.Fatal("revived node's LastObs is not the fresh observation")
+	m.Sample(sim.Second + 300*ms)
+	snap = agg.Snapshot(sim.Second + 300*ms)
+	want("node 1 revived", snap, "map[0:fresh 1:fresh 2:fresh]")
+	if st := statOf(t, snap, busy); st.Obs != busy.Obs {
+		t.Fatal("revived node's stat is not the fresh observation")
 	}
 }
 
 // TestSeriesCreatedByFirstAppend pins lazy series creation: building the
-// monitor reserves series IDs but creates no series, so a node that is down
-// from t=0 lists none, and a sampled node lists its five per device.
+// monitor reserves each device's five series as one group of its node's DB
+// but creates no ring, so a node that is down from t=0 lists none, and a
+// sampled node lists its five per device. A group's columns are listed
+// together, from its first row on.
 func TestSeriesCreatedByFirstAppend(t *testing.T) {
 	cl := twoPerNodeCluster()
 	m := NewMonitor(cl, 0)
-	for node := 0; node < 3; node++ {
-		if names := m.NodeDB(node).SeriesNames(); len(names) != 0 {
+	for node, names := range nodeSeries(m) {
+		if len(names) != 0 {
 			t.Fatalf("node %d lists series before any sample: %v", node, names)
 		}
 	}
@@ -116,22 +160,32 @@ func TestSeriesCreatedByFirstAppend(t *testing.T) {
 	for now := sim.Time(0); now < sim.Second; now += 10 * sim.Millisecond {
 		m.Sample(now)
 	}
-	if names := m.NodeDB(2).SeriesNames(); len(names) != 0 {
-		t.Fatalf("never-sampled node lists series: %v", names)
-	}
 	want := []string{
 		"g0/mem_used_mb", "g0/power_w", "g0/rx_mbps", "g0/sm_util", "g0/tx_mbps",
 		"g1/mem_used_mb", "g1/power_w", "g1/rx_mbps", "g1/sm_util", "g1/tx_mbps",
 	}
+	series := nodeSeries(m)
+	if names := series[2]; len(names) != 0 {
+		t.Fatalf("never-sampled node lists series: %v", names)
+	}
 	for node := 0; node < 2; node++ {
-		got := m.NodeDB(node).SeriesNames()
-		if len(got) != len(want) {
+		if got := series[node]; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("node %d series = %v, want %v", node, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("node %d series = %v, want %v", node, got, want)
+	}
+
+	// One heartbeat after node 2 revives, its groups' first rows list every
+	// column, each holding that one point.
+	m.SetNodeDown(2, false)
+	m.Sample(sim.Second)
+	if got := nodeSeries(m)[2]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("revived node series = %v, want %v", got, want)
+	}
+	m.ReadNodes(func(node int, db *tsdb.DB) {
+		for _, name := range want {
+			if n := db.Len(name); node == 2 && n != 1 {
+				t.Fatalf("revived node's %s holds %d points, want 1", name, n)
 			}
 		}
-	}
+	})
 }

@@ -190,12 +190,11 @@ func TestSnapshotRacesNodeDeathRevival(t *testing.T) {
 	}
 }
 
-// TestSnapshotSeriesRaceAppend runs the monitor's row appends, plus a
-// second writer appending rows of its own series into the same node
-// databases, against two aggregators that each read every memory window of
-// every snapshot while the rings move. Run under -race. Afterwards every
-// aggregator's memory series must still match a plain Downsample of the
-// same window bit for bit.
+// TestSnapshotSeriesRaceAppend runs two heartbeat samplers, each appending
+// a row per device into the node databases, against two aggregators that
+// each read every memory window of every snapshot while the rings move.
+// Run under -race. Afterwards every aggregator's memory series must still
+// match a plain Downsample of the same window bit for bit.
 func TestSnapshotSeriesRaceAppend(t *testing.T) {
 	const steps = 300
 	cl := twoPerNodeCluster()
@@ -212,33 +211,19 @@ func TestSnapshotSeriesRaceAppend(t *testing.T) {
 		cl.Tick(now, 10*sim.Millisecond)
 		mon.Sample(now)
 	}
-	extra := make([][]tsdb.SeriesID, 3)
-	for node := range extra {
-		for _, name := range []string{"x/a", "x/b", "x/c"} {
-			extra[node] = append(extra[node], mon.NodeDB(node).ID(name))
-		}
-	}
-
 	var clock atomic.Int64
 	clock.Store(int64(now))
 	var stop atomic.Bool
 	var writers sync.WaitGroup
-	writers.Add(2)
-	go func() { // heartbeat: one row append per device
-		defer writers.Done()
-		for i := 0; i < steps; i++ {
-			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
-		}
-	}()
-	go func() { // a second row writer on the same databases
-		defer writers.Done()
-		row := []float64{1, 2, 3}
-		for i := 0; i < steps; i++ {
-			for node, ids := range extra {
-				mon.NodeDB(node).Append(ids, sim.Time(i), row)
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() { // heartbeat: one row append per device
+			defer writers.Done()
+			for i := 0; i < steps; i++ {
+				mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
 			}
-		}
-	}()
+		}()
+	}
 	aggs := []*Aggregator{NewAggregator(mon), NewAggregator(mon)}
 	var readers sync.WaitGroup
 	for _, agg := range aggs {
@@ -261,12 +246,18 @@ func TestSnapshotSeriesRaceAppend(t *testing.T) {
 	readers.Wait()
 
 	end := sim.Time(clock.Load())
+	wants := map[*cluster.GPU][]tsdb.Point{}
+	mon.ReadNodes(func(node int, db *tsdb.DB) {
+		for _, g := range cl.NodeGPUs(node) {
+			wants[g] = db.Downsample(seriesName(g, MetricMem),
+				end-DefaultWindow, end, DefaultWindow/DefaultMaxPoints)
+		}
+	})
 	for k, agg := range aggs {
 		snap := agg.Snapshot(end)
 		for _, st := range snap.Stats {
 			g := st.GPU
-			want := mon.NodeDB(g.Node).Downsample(seriesName(g, MetricMem),
-				end-agg.Window, end, agg.Window/sim.Time(agg.MaxPoints))
+			want := wants[g]
 			got := st.MemSeries()
 			if len(got) != len(want) {
 				t.Fatalf("aggregator %d %s: %d points, want %d", k, g.ID(), len(got), len(want))
@@ -278,4 +269,118 @@ func TestSnapshotSeriesRaceAppend(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentMonitorOwners runs every path that reaches a node database
+// from a goroutine of its own: heartbeat sampling, liveness flips,
+// snapshots with their lazily built memory windows, Series reads, and a
+// capture-style walk of every series through ReadNodes. Run under -race:
+// the databases do no locking, so the monitor's one lock must cover all of
+// them. The rings are small enough to wrap during the run. Afterwards,
+// with every node revived and sampled once more, the long-lived
+// aggregator's snapshot must equal a fresh aggregator's.
+func TestConcurrentMonitorOwners(t *testing.T) {
+	const (
+		steps    = 200
+		capacity = 50
+	)
+	cl := twoPerNodeCluster()
+	mon := NewMonitor(cl, capacity)
+	prof := workloads.RodiniaProfile(workloads.KMeans)
+	c := &cluster.Container{ID: "a", Class: prof.Class, Inst: prof.NewInstance(nil)}
+	if err := cl.GPUs()[1].Place(0, c, 3000); err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Time(0)
+	for ; now < sim.Second; now += 10 * sim.Millisecond {
+		cl.Tick(now, 10*sim.Millisecond)
+		mon.Sample(now)
+	}
+	newAgg := func() *Aggregator {
+		a := NewAggregator(mon)
+		a.StaleAfter = 30 * sim.Millisecond
+		a.DeadAfter = 60 * sim.Millisecond
+		return a
+	}
+	long := newAgg()
+
+	var clock atomic.Int64
+	clock.Store(int64(now))
+	var writers, readers sync.WaitGroup
+	var stop atomic.Bool
+	writers.Add(2)
+	go func() { // heartbeat sampler
+		defer writers.Done()
+		for i := 0; i < steps; i++ {
+			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
+		}
+	}()
+	go func() { // nodes 1 and 2 flap; node 0 stays up
+		defer writers.Done()
+		for i := 0; i < steps; i++ {
+			mon.SetNodeDown(1+i%2, i%4 < 2)
+		}
+	}()
+	reader := func(read func() bool) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 20 || !stop.Load(); i++ {
+				if !read() {
+					return
+				}
+			}
+		}()
+	}
+	reader(func() bool { // head node: snapshot, then read every window
+		snap := long.Snapshot(sim.Time(clock.Load()))
+		for _, st := range snap.Stats {
+			if n := len(st.MemSeries()); n > capacity {
+				t.Errorf("%s: %d memory points from a %d-row ring", st.GPU.ID(), n, capacity)
+				return false
+			}
+		}
+		return true
+	})
+	reader(func() bool { // per-device series reads
+		at := sim.Time(clock.Load())
+		for _, g := range cl.GPUs() {
+			if n := len(mon.Series(g, MetricSM, at, DefaultWindow)); n > capacity {
+				t.Errorf("%s: Series read %d points from a %d-row ring", g.ID(), n, capacity)
+				return false
+			}
+		}
+		return true
+	})
+	reader(func() bool { // state capture: every point of every series
+		ok := true
+		mon.ReadNodes(func(node int, db *tsdb.DB) {
+			for _, name := range db.SeriesNames() {
+				pts := db.Window(name, 0, math.MaxInt64)
+				for i := 1; ok && i < len(pts); i++ {
+					ok = pts[i-1].At <= pts[i].At
+				}
+				if !ok || len(pts) > capacity {
+					t.Errorf("node %d %s: %d points, time-ordered %v", node, name, len(pts), ok)
+					ok = false
+					return
+				}
+			}
+		})
+		return ok
+	})
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+
+	for node := 1; node < 3; node++ {
+		mon.SetNodeDown(node, false)
+	}
+	end := sim.Time(clock.Add(int64(10 * sim.Millisecond)))
+	mon.Sample(end)
+	got := long.Snapshot(end)
+	if len(got.DeadNodes) != 0 || len(got.Stats) != len(cl.GPUs()) {
+		t.Fatalf("after revival: dead %v, %d stats; want none dead, %d stats", got.DeadNodes, len(got.Stats), len(cl.GPUs()))
+	}
+	eqSnapshots(t, "after the race", newAgg().Snapshot(end), got)
 }

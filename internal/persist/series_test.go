@@ -9,6 +9,7 @@ import (
 	"kubeknots/internal/knots"
 	"kubeknots/internal/scheduler"
 	"kubeknots/internal/sim"
+	"kubeknots/internal/tsdb"
 )
 
 // TestCapturedSeriesSkipNeverSampledNode pins lazy series creation through
@@ -23,9 +24,11 @@ func TestCapturedSeriesSkipNeverSampledNode(t *testing.T) {
 	o.Start()
 	o.Run(2 * sim.Second)
 
-	if names := o.Monitor.NodeDB(2).SeriesNames(); len(names) != 0 {
-		t.Fatalf("node down from t=0 lists series %v", names)
-	}
+	o.Monitor.ReadNodes(func(node int, db *tsdb.DB) {
+		if names := db.SeriesNames(); node == 2 && len(names) != 0 {
+			t.Fatalf("node down from t=0 lists series %v", names)
+		}
+	})
 	var got []string
 	for _, s := range CaptureState(o, nil).Series {
 		if len(s.Points) == 0 {

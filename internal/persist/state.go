@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"kubeknots/internal/harvest"
 	"kubeknots/internal/k8s"
@@ -136,21 +135,15 @@ func CaptureState(o *k8s.Orchestrator, hctl *harvest.Controller) *State {
 	}
 
 	if mon := o.Monitor; mon != nil {
-		for node := 0; node < o.NodeCount(); node++ {
-			db := mon.NodeDB(node)
-			if db == nil {
-				continue
-			}
-			names := db.SeriesNames()
-			sort.Strings(names)
-			for _, name := range names {
+		mon.ReadNodes(func(node int, db *tsdb.DB) {
+			for _, name := range db.SeriesNames() {
 				st.Series = append(st.Series, SeriesState{
 					Node:   uint32(node),
 					Name:   name,
 					Points: db.Window(name, 0, sim.Time(1<<62)),
 				})
 			}
-		}
+		})
 	}
 
 	q := o.QoS

@@ -26,6 +26,10 @@ type boundScript struct {
 	lead     sim.Time   // t is the step's last timestamp plus lead
 	buckets  []sim.Time // widths read in turn
 	steps    int
+	// cols is the width of the series' group (0 counts as 1). Reads use
+	// its last column; the others hold different values, so a read of the
+	// wrong column fails.
+	cols int
 }
 
 // boundLags are how many appends after its bound each read runs: 0 is a
@@ -65,7 +69,13 @@ func (sc boundScript) run(t *testing.T) (excluded int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(sc.seed))
 	db := New(sc.capacity)
-	id := db.ID("m")
+	names := []string{"m"}
+	for k := 1; k < sc.cols; k++ {
+		names = append(names, fmt.Sprintf("m%d", k))
+	}
+	ids := db.Group(names)
+	id := ids[len(ids)-1] // the column every read uses
+	row := make([]float64, len(ids))
 	var hist []Point // every accepted point, by append number
 	var steps []boundStep
 	var got, all []Point
@@ -89,7 +99,11 @@ func (sc boundScript) run(t *testing.T) (excluded int) {
 		} else {
 			p.Value = rng.Float64()*200 - 100
 		}
-		db.Append([]SeriesID{id}, p.At, []float64{p.Value})
+		for k := range row[:len(row)-1] {
+			row[k] = p.Value + 1000*float64(k+1)
+		}
+		row[len(row)-1] = p.Value
+		db.Append(ids, p.At, row)
 		if n := len(hist); n == 0 || hist[n-1].At <= p.At {
 			hist = append(hist, p)
 		}
@@ -214,11 +228,13 @@ func TestDownsampleIntoUnknownSeries(t *testing.T) {
 }
 
 // FuzzDownsampleInto drives boundScript with fuzzed shapes: every bounded
-// read must match the reference model bit for bit.
+// read must match the reference model bit for bit. cols sets the width of
+// the series' group; a non-zero value reads a column other than the first.
 func FuzzDownsampleInto(f *testing.F) {
-	f.Add(int64(1), uint16(1000), int16(0), uint8(10), uint8(0), uint8(0), uint16(500), uint8(78), uint8(40))
-	f.Add(int64(2), uint16(23), int16(-300), uint8(10), uint8(4), uint8(0x3), uint16(500), uint8(78), uint8(33))
-	f.Fuzz(func(t *testing.T, seed int64, capacity uint16, start int16, hb, jitter, flags uint8, window uint16, b1, b2 uint8) {
+	f.Add(int64(1), uint16(1000), int16(0), uint8(10), uint8(0), uint8(0), uint16(500), uint8(78), uint8(40), uint8(0))
+	f.Add(int64(2), uint16(23), int16(-300), uint8(10), uint8(4), uint8(0x3), uint16(500), uint8(78), uint8(33), uint8(0))
+	f.Add(int64(10), uint16(1000), int16(0), uint8(10), uint8(2), uint8(0x1), uint16(500), uint8(78), uint8(40), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, capacity uint16, start int16, hb, jitter, flags uint8, window uint16, b1, b2, cols uint8) {
 		sc := boundScript{
 			seed:     seed,
 			capacity: 1 + int(capacity%2048),
@@ -230,6 +246,7 @@ func FuzzDownsampleInto(f *testing.F) {
 			lead:     sim.Time(flags >> 3),
 			buckets:  []sim.Time{sim.Time(b1), sim.Time(b2)},
 			steps:    300,
+			cols:     1 + int(cols%5),
 		}
 		if flags&0x1 != 0 {
 			sc.dupEvery = 3

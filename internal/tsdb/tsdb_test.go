@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -178,32 +177,6 @@ func TestWindowPropertySortedAndBounded(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccess(t *testing.T) {
-	db := New(1000)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			name := fmt.Sprintf("s%d", w)
-			for i := 0; i < 1000; i++ {
-				put(db, name, sim.Time(i), float64(i))
-				if i%10 == 0 {
-					db.Window(name, 0, sim.Time(i))
-					db.Last(name)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for w := 0; w < 8; w++ {
-		if got := db.Len(fmt.Sprintf("s%d", w)); got != 1000 {
-			t.Fatalf("series s%d len = %d, want 1000", w, got)
-		}
-	}
-}
-
 func TestDefaultCapacity(t *testing.T) {
 	db := New(0)
 	for i := 0; i < DefaultCapacity+5; i++ {
@@ -357,70 +330,193 @@ func samePoints(t *testing.T, what string, got, want []Point) {
 
 // TestRingReadsMatchReferenceModel checks every windowed read against the
 // reference model after each append of a fill that wraps a small ring many
-// times. The windows are every [lo, hi] pair of retained points plus ones
-// reaching past both ends, so they include windows straddling the physical
-// wrap point, reads at start == 0, the full ring, and bucket 0.
+// times. It fills a one-series ring and a three-column group side by side,
+// one row per step with a value per column, and checks each series against
+// its own reference. The windows are every [lo, hi] pair of retained
+// points plus ones reaching past both ends, so they include windows
+// straddling the physical wrap point, reads at start == 0, the full ring,
+// and bucket 0.
 func TestRingReadsMatchReferenceModel(t *testing.T) {
 	const capacity = 7
 	rng := rand.New(rand.NewSource(17))
 	db := New(capacity)
-	ref := &refModel{capacity: capacity}
-	var straddles, startZeroFull int
+	groups := [][]string{{"m"}, {"a", "b", "c"}}
+	ids := make([][]SeriesID, len(groups))
+	refs := map[string]*refModel{}
+	for g, names := range groups {
+		ids[g] = db.Group(names)
+		for _, name := range names {
+			refs[name] = &refModel{capacity: capacity}
+		}
+	}
+	var wraps wrapCounts
 	at := sim.Time(10)
 	for step := 0; step < 10*capacity; step++ {
 		at += sim.Time(rng.Intn(4)) // repeats allowed
-		p := Point{At: at, Value: rng.Float64() * 100}
+		rowAt := at
 		if rng.Intn(10) == 0 {
-			p.At -= 5 // out of order: dropped by both
+			rowAt -= 5 // out of order: dropped by all
 		}
-		put(db, "m", p.At, p.Value)
-		ref.append(p)
+		for g, names := range groups {
+			row := make([]float64, len(names))
+			for k, name := range names {
+				row[k] = rng.Float64() * 100
+				refs[name].append(Point{At: rowAt, Value: row[k]})
+			}
+			db.Append(ids[g], rowAt, row)
+		}
 
-		s := db.lookup("m")
-		if s.n == capacity && s.start == 0 {
-			startZeroFull++
-		}
-		n := len(ref.pts)
-		if db.Len("m") != n {
-			t.Fatalf("step %d: Len = %d, want %d", step, db.Len("m"), n)
-		}
-		for k := 0; k <= n+1; k++ {
-			samePoints(t, fmt.Sprintf("step %d LastN(%d)", step, k), db.LastN("m", k), ref.pts[max(0, n-k):])
-		}
-		type span struct{ from, to sim.Time }
-		spans := []span{{0, at + 100}, {at + 1, at + 100}}
-		for lo := 0; lo < n; lo++ {
-			for hi := lo; hi < n; hi++ {
-				spans = append(spans, span{ref.pts[lo].At, ref.pts[hi].At})
-				if s.start+lo < capacity && s.start+hi >= capacity {
-					straddles++
-				}
-			}
-		}
-		var pts []Point
-		var vals []float64
-		for _, w := range spans {
-			want := ref.window(w.from, w.to)
-			what := fmt.Sprintf("step %d [%d, %d]", step, w.from, w.to)
-			samePoints(t, what+" Window", db.Window("m", w.from, w.to), want)
-			pts = db.WindowAppend(pts[:0], "m", w.from, w.to)
-			samePoints(t, what+" WindowAppend", pts, want)
-			vals = db.ValuesInto(vals[:0], "m", w.from, w.to)
-			if len(vals) != len(want) {
-				t.Fatalf("%s ValuesInto: %d values, want %d", what, len(vals), len(want))
-			}
-			for i := range want {
-				if vals[i] != want[i].Value {
-					t.Fatalf("%s ValuesInto: value %d = %v, want %v", what, i, vals[i], want[i].Value)
-				}
-			}
-			for _, bucket := range []sim.Time{0, 1, 2, 5, 1000} {
-				pts = db.DownsampleInto(pts[:0], db.ID("m"), math.MaxUint64, w.from, w.to, bucket)
-				samePoints(t, fmt.Sprintf("%s DownsampleInto(bucket %d)", what, bucket), pts, ref.downsample(w.from, w.to, bucket))
+		for _, names := range groups {
+			for _, name := range names {
+				checkAgainstRef(t, db, name, refs[name], step, at, &wraps)
 			}
 		}
 	}
-	if straddles == 0 || startZeroFull == 0 {
-		t.Fatalf("fill never exercised the wrap: %d straddling windows, %d full reads at start 0", straddles, startZeroFull)
+	if wraps.straddles == 0 || wraps.startZeroFull == 0 {
+		t.Fatalf("fill never exercised the wrap: %d straddling windows, %d full reads at start 0", wraps.straddles, wraps.startZeroFull)
+	}
+}
+
+// wrapCounts counts the reads that exercised the ring's wrap: windows
+// straddling the physical wrap point, and full reads at start 0.
+type wrapCounts struct{ straddles, startZeroFull int }
+
+// checkAgainstRef runs every read of series name against ref after one
+// step whose last in-order time is at, counting the wrap cases into wraps.
+func checkAgainstRef(t *testing.T, db *DB, name string, ref *refModel, step int, at sim.Time, wraps *wrapCounts) {
+	t.Helper()
+	s, _ := db.lookup(name)
+	capacity := len(s.at)
+	if s.n == capacity && s.start == 0 {
+		wraps.startZeroFull++
+	}
+	n := len(ref.pts)
+	if db.Len(name) != n {
+		t.Fatalf("step %d %s: Len = %d, want %d", step, name, db.Len(name), n)
+	}
+	for k := 0; k <= n+1; k++ {
+		samePoints(t, fmt.Sprintf("step %d %s LastN(%d)", step, name, k), db.LastN(name, k), ref.pts[max(0, n-k):])
+	}
+	if last, ok := db.Last(name); !ok || last != ref.pts[n-1] {
+		t.Fatalf("step %d %s: Last = %+v, %v; want %+v", step, name, last, ok, ref.pts[n-1])
+	}
+	type span struct{ from, to sim.Time }
+	spans := []span{{0, at + 100}, {at + 1, at + 100}}
+	for lo := 0; lo < n; lo++ {
+		for hi := lo; hi < n; hi++ {
+			spans = append(spans, span{ref.pts[lo].At, ref.pts[hi].At})
+			if s.start+lo < capacity && s.start+hi >= capacity {
+				wraps.straddles++
+			}
+		}
+	}
+	var pts []Point
+	var vals []float64
+	for _, w := range spans {
+		want := ref.window(w.from, w.to)
+		what := fmt.Sprintf("step %d %s [%d, %d]", step, name, w.from, w.to)
+		samePoints(t, what+" Window", db.Window(name, w.from, w.to), want)
+		pts = db.WindowAppend(pts[:0], name, w.from, w.to)
+		samePoints(t, what+" WindowAppend", pts, want)
+		vals = db.ValuesInto(vals[:0], name, w.from, w.to)
+		if len(vals) != len(want) {
+			t.Fatalf("%s ValuesInto: %d values, want %d", what, len(vals), len(want))
+		}
+		for i := range want {
+			if vals[i] != want[i].Value {
+				t.Fatalf("%s ValuesInto: value %d = %v, want %v", what, i, vals[i], want[i].Value)
+			}
+		}
+		for _, bucket := range []sim.Time{0, 1, 2, 5, 1000} {
+			pts = db.DownsampleInto(pts[:0], db.ID(name), math.MaxUint64, w.from, w.to, bucket)
+			samePoints(t, fmt.Sprintf("%s DownsampleInto(bucket %d)", what, bucket), pts, ref.downsample(w.from, w.to, bucket))
+		}
+	}
+}
+
+// mustPanic fails unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestGroupRowContract pins what Group and Append accept: Append takes one
+// whole group in order, with a value per series, and nothing else; Group
+// refuses a name already reserved, by either Group or ID, and an empty
+// group. A group's columns appear together, from its first row on.
+func TestGroupRowContract(t *testing.T) {
+	db := New(4)
+	abc := db.Group([]string{"a", "b", "c"})
+	de := db.Group([]string{"d", "e"})
+	solo := db.ID("solo")
+	if names := db.SeriesNames(); len(names) != 0 {
+		t.Fatalf("reserved groups list series before any row: %v", names)
+	}
+	for _, tc := range []struct {
+		what string
+		ids  []SeriesID
+	}{
+		{"partial group", abc[:2]},
+		{"group without its first column", abc[1:]},
+		{"reordered group", []SeriesID{abc[0], abc[2], abc[1]}},
+		{"mixed groups", []SeriesID{abc[0], abc[1], de[0]}},
+		{"group plus another's column", append(append([]SeriesID(nil), de...), solo)},
+		{"no ids", nil},
+		{"unknown id", []SeriesID{99}},
+	} {
+		mustPanic(t, "Append of a "+tc.what, func() {
+			db.Append(tc.ids, 1, make([]float64, len(tc.ids)))
+		})
+	}
+	mustPanic(t, "Append of a short row", func() { db.Append(abc, 1, []float64{1, 2}) })
+	if names := db.SeriesNames(); len(names) != 0 {
+		t.Fatalf("refused rows created series: %v", names)
+	}
+	for _, names := range [][]string{{"x", "b"}, {"solo"}, {"y", "y"}, {}} {
+		mustPanic(t, fmt.Sprintf("Group(%q)", names), func() { db.Group(names) })
+	}
+	if db.ID("b") != abc[1] {
+		t.Fatal("ID of a grouped series is not its group column")
+	}
+
+	db.Append(abc, 1, []float64{10, 20, 30})
+	if names := db.SeriesNames(); fmt.Sprint(names) != "[a b c]" {
+		t.Fatalf("after the group's first row SeriesNames = %v, want [a b c]", names)
+	}
+	for k, name := range []string{"a", "b", "c"} {
+		if p, ok := db.Last(name); !ok || p != (Point{At: 1, Value: float64(10 * (k + 1))}) {
+			t.Fatalf("%s: Last = %+v, %v", name, p, ok)
+		}
+	}
+	db.Append(abc, 0, []float64{1, 2, 3}) // older: the whole row is dropped
+	if got := db.Seqs(nil, abc); fmt.Sprint(got) != "[1 1 1]" {
+		t.Fatalf("Seqs after an out-of-order row = %v, want [1 1 1]", got)
+	}
+}
+
+// BenchmarkWindowFullSeries reads every point of one column of a full,
+// wrapped five-column ring, the way persist.CaptureState reads each series
+// of a node database.
+func BenchmarkWindowFullSeries(b *testing.B) {
+	db := New(0)
+	ids := db.Group([]string{"sm", "mem", "power", "tx", "rx"})
+	row := make([]float64, len(ids))
+	for i := 0; i < DefaultCapacity*3/2; i++ {
+		for k := range row {
+			row[k] = float64(i * (k + 1) % 97)
+		}
+		db.Append(ids, sim.Time(i), row)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(db.Window("mem", 0, math.MaxInt64)) != DefaultCapacity {
+			b.Fatal("the read missed points")
+		}
 	}
 }
