@@ -275,6 +275,18 @@ func BenchmarkCBPScheduleRound(b *testing.B) {
 	}
 }
 
+// BenchmarkCBPScheduleRoundMix3 runs CBP on App-Mix-3, whose queue never
+// drains: IMC and Face batches too long for the SLO even on an idle GPU
+// stay at its head, so every round meets pods no device can take.
+func BenchmarkCBPScheduleRoundMix3(b *testing.B) {
+	mix, _ := workloads.MixByID(3)
+	for i := 0; i < b.N; i++ {
+		experiments.RunCluster(&scheduler.CBP{}, mix, experiments.ClusterConfig{
+			Horizon: 15 * sim.Second,
+		})
+	}
+}
+
 func BenchmarkAggregatorSnapshot(b *testing.B) {
 	// The per-heartbeat path: every node is sampled between snapshots, and
 	// every window is read.

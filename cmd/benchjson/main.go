@@ -7,6 +7,9 @@
 // (ns/op, B/op, allocs/op) and every custom b.ReportMetric value under
 // "metrics". Results are sorted by name and carry no timestamps or host
 // details, so re-running on the same machine produces a minimal diff.
+// Repeats of one benchmark (`go test -count N`) fold into a single result
+// holding the median of each measure, so neither the baseline nor the gate
+// rests on one noisy sample.
 //
 // With -baseline, benchjson instead diffs the fresh run against a committed
 // baseline and exits non-zero when ns/op or allocs/op regresses by more than
@@ -39,7 +42,8 @@ type Result struct {
 }
 
 // parseBench reads `go test -bench` output and returns the benchmark results
-// sorted by name. Non-benchmark lines (PASS, ok, goos, ...) are ignored.
+// sorted by name, repeats folded to their median. Non-benchmark lines (PASS,
+// ok, goos, ...) are ignored.
 func parseBench(r io.Reader) ([]Result, error) {
 	var out []Result
 	sc := bufio.NewScanner(r)
@@ -84,7 +88,69 @@ func parseBench(r io.Reader) ([]Result, error) {
 		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return foldRepeats(out), nil
+}
+
+// foldRepeats merges each run of same-named results (sorted input) into one
+// result whose iterations, ns/op, B/op, allocs/op and custom metrics are the
+// medians of the run's values.
+func foldRepeats(in []Result) []Result {
+	var out []Result
+	for i := 0; i < len(in); {
+		j := i + 1
+		for j < len(in) && in[j].Name == in[i].Name {
+			j++
+		}
+		out = append(out, medianResult(in[i:j]))
+		i = j
+	}
+	return out
+}
+
+// medianResult folds one benchmark's repeats; a metric missing from some
+// repeats takes the median of those that report it.
+func medianResult(rs []Result) Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	of := func(f func(Result) float64) float64 {
+		vs := make([]float64, len(rs))
+		for i, r := range rs {
+			vs[i] = f(r)
+		}
+		return median(vs)
+	}
+	m := Result{
+		Name:        rs[0].Name,
+		Iterations:  int64(of(func(r Result) float64 { return float64(r.Iterations) })),
+		NsPerOp:     of(func(r Result) float64 { return r.NsPerOp }),
+		BytesPerOp:  of(func(r Result) float64 { return r.BytesPerOp }),
+		AllocsPerOp: of(func(r Result) float64 { return r.AllocsPerOp }),
+	}
+	metrics := map[string][]float64{}
+	for _, r := range rs {
+		for unit, v := range r.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	if len(metrics) > 0 {
+		m.Metrics = make(map[string]float64, len(metrics))
+		for unit, vs := range metrics {
+			m.Metrics[unit] = median(vs)
+		}
+	}
+	return m
+}
+
+// median returns the middle value of vs (the mean of the two middle values
+// for an even count); it reorders vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // trimProcSuffix drops the -GOMAXPROCS suffix (BenchmarkFig9-8 → BenchmarkFig9)

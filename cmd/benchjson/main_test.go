@@ -41,6 +41,31 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+func TestParseBenchFoldsRepeatsToMedian(t *testing.T) {
+	const repeats = `BenchmarkA-2   3   300 ns/op   30 B/op   3 allocs/op   9.00 util
+BenchmarkB-2   1   50 ns/op
+BenchmarkA-2   5   100 ns/op   10 B/op   1 allocs/op   7.00 util
+BenchmarkA-2   4   200 ns/op   90 B/op   2 allocs/op   8.00 util
+BenchmarkB-2   1   70 ns/op
+`
+	got, err := parseBench(strings.NewReader(repeats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("parsed %d results, want the 2 names folded: %+v", len(got), got)
+	}
+	a := got[0]
+	if a.Name != "BenchmarkA" || a.Iterations != 4 || a.NsPerOp != 200 || a.BytesPerOp != 30 ||
+		a.AllocsPerOp != 2 || a.Metrics["util"] != 8 {
+		t.Fatalf("odd count must take each measure's middle value: %+v", a)
+	}
+	// An even count takes the mean of the two middle values.
+	if b := got[1]; b.Name != "BenchmarkB" || b.NsPerOp != 60 || b.Metrics != nil {
+		t.Fatalf("even count: %+v", b)
+	}
+}
+
 func TestParseBenchRejectsMalformedValue(t *testing.T) {
 	_, err := parseBench(strings.NewReader("BenchmarkX-4 10 abc ns/op\n"))
 	if err == nil {

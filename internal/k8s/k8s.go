@@ -8,9 +8,10 @@
 package k8s
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"kubeknots/internal/cluster"
@@ -492,7 +493,7 @@ func (o *Orchestrator) runScheduler(now sim.Time) {
 		o.om.queueDepth.Set(float64(len(o.pending)))
 		return
 	}
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Priority > queue[j].Priority })
+	slices.SortStableFunc(queue, func(a, b *Pod) int { return cmp.Compare(b.Priority, a.Priority) })
 	// Wall-clock latency is harness telemetry (sweep.Result.Wall convention):
 	// it never enters sim state, so determinism is unaffected.
 	start := time.Now()

@@ -22,6 +22,8 @@
 package scheduler
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"kubeknots/internal/cluster"
@@ -132,9 +134,21 @@ type gateScratch struct {
 // per job), so the buffers are overwritten on every call and never shared
 // across runs; see DESIGN.md "Hot-path memory discipline".
 type scratch struct {
-	gate gateScratch
-	pods []*k8s.Pod
-	plan planner
+	gate  gateScratch
+	pods  []*k8s.Pod
+	plans []podPlan
+	plan  planner
+}
+
+// podPlan is one pending pod's per-round values, computed once before the
+// candidate scan: its reservation (also the queue's sort key), peak SM
+// demand, and whether it meets the SLO on an idle device (sloOK at stretch
+// 1; always true for batch pods).
+type podPlan struct {
+	pod      *k8s.Pod
+	reserve  float64
+	peakSM   float64
+	feasible bool
 }
 
 // planner tracks in-round commitments so one scheduling pass cannot
@@ -149,6 +163,7 @@ type planner struct {
 	sm        []float64 // planned SM demand including in-round commits
 	claimed   []bool    // device claimed this round
 	conts     []int     // resident containers including in-round placements
+	stale     int       // devices with stale telemetry in the snapshot
 
 	order []int // candidate ordering; nil until candidateOrder builds it
 }
@@ -163,6 +178,7 @@ func (p *planner) reset(snap *knots.Snapshot) {
 	p.claimed = growBools(p.claimed, n)
 	p.conts = growInts(p.conts, n)
 	p.order = p.order[:0]
+	p.stale = 0
 	for i := range snap.Stats {
 		st := &snap.Stats[i]
 		p.free[i] = st.FreeReservableMB
@@ -170,7 +186,23 @@ func (p *planner) reset(snap *knots.Snapshot) {
 		p.sm[i] = st.Obs.SMPct
 		p.claimed[i] = false
 		p.conts[i] = st.Obs.Containers
+		if st.Stale {
+			p.stale++
+		}
 	}
+}
+
+// descending orders larger keys first. It is negative exactly when a > b,
+// so a stable sort keeps equal and incomparable (NaN) keys in arrival
+// order.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -303,9 +335,7 @@ func (ra *ResAg) Schedule(now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot
 	pl.reset(snap)
 	order := append(ra.scr.pods[:0], pending...)
 	ra.scr.pods = order
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].RequestMemMB > order[j].RequestMemMB
-	})
+	slices.SortStableFunc(order, func(a, b *k8s.Pod) int { return descending(a.RequestMemMB, b.RequestMemMB) })
 	n := len(snap.Stats)
 	// The largest device visible this round: a request above it can never be
 	// placed. The old behaviour — truncating the reservation to device
@@ -411,18 +441,33 @@ func (c *CBP) params() (corr, resize, lcm, maxSM float64) {
 // total-demand/100, which the live Knots telemetry lets the scheduler
 // predict — the utilization-awareness that separates CBP/PP from Res-Ag.
 func (c *CBP) lcFits(pod *k8s.Pod, plannedSM float64) bool {
+	return c.sloOK(pod, lcStretch(plannedSM, pod.Profile.PeakSMPct()))
+}
+
+// lcStretch is the slowdown a pod with peakSM of demand suffers on a device
+// already carrying plannedSM: total/100 once the device is oversubscribed,
+// else 1. A NaN total also yields 1, so 1 is the least stretch any device
+// can produce.
+func lcStretch(plannedSM, peakSM float64) float64 {
+	if total := plannedSM + peakSM; total > 100 {
+		return total / 100
+	}
+	return 1
+}
+
+// sloOK reports whether a latency-critical pod slowed by stretch completes
+// within SLOFraction of the SLO. It is monotone in stretch (the product
+// stays in float64, so no integer overflow can wrap it), which makes
+// sloOK(pod, 1) an upper bound on lcFits at every planned SM: a pod failing
+// it fails the SLO gate on every device.
+func (c *CBP) sloOK(pod *k8s.Pod, stretch float64) bool {
 	frac := c.SLOFraction
 	if frac <= 0 {
 		frac = 0.9
 	}
-	total := plannedSM + pod.Profile.PeakSMPct()
-	stretch := 1.0
-	if total > 100 {
-		stretch = total / 100
-	}
 	const overhead = 30 * sim.Millisecond // binding + tick quantization
-	predicted := sim.Time(float64(pod.Profile.Duration())*stretch) + overhead
-	return float64(predicted) <= frac*float64(qos.DefaultSLO)
+	predicted := math.Trunc(float64(pod.Profile.Duration())*stretch) + float64(overhead)
+	return predicted <= frac*float64(qos.DefaultSLO)
 }
 
 // ReserveFor returns the harvested reservation for a pod: batch pods shrink
@@ -628,22 +673,37 @@ func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64
 // scheduleAlgo1 is the shared CBP/PP scheduling round: harvest-sorted pod
 // queue, then for each pod a first-admissible scan over the pl.less
 // candidate order.
+//
+// A latency-critical pod that misses the SLO on an idle device fails the
+// SLO gate on every fresh device (sloOK is monotone in stretch), and only a
+// stale device's exclusive fallback skips that gate. With no stale device
+// such a pod cannot be placed, so its scan is skipped — unless a tracer
+// wants every candidate step recorded.
 func (c *CBP) scheduleAlgo1(pp *PP, name string, now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot) []k8s.Decision {
 	_, _, _, maxSM := c.params()
 	pl := &c.scr.plan
 	pl.reset(snap)
-	order := append(c.scr.pods[:0], pending...)
-	c.scr.pods = order
-	if len(order) > c.batchLimit() {
-		order = order[:c.batchLimit()]
+	if len(pending) > c.batchLimit() {
+		pending = pending[:c.batchLimit()]
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return c.ReserveFor(order[i]) > c.ReserveFor(order[j])
-	})
+	plans := c.scr.plans[:0]
+	for _, pod := range pending {
+		plans = append(plans, podPlan{
+			pod:      pod,
+			reserve:  c.ReserveFor(pod),
+			peakSM:   pod.Profile.PeakSMPct(),
+			feasible: pod.Class != workloads.LatencyCritical || c.sloOK(pod, 1),
+		})
+	}
+	c.scr.plans = plans
+	slices.SortStableFunc(plans, func(a, b podPlan) int { return descending(a.reserve, b.reserve) })
+	fullScan := c.Trace != nil || pl.stale > 0
 	var out []k8s.Decision
-	for _, pod := range order {
-		reserve := c.ReserveFor(pod)
-		peakSM := pod.Profile.PeakSMPct()
+	for _, q := range plans {
+		if !q.feasible && !fullScan {
+			continue
+		}
+		pod, reserve, peakSM := q.pod, q.reserve, q.peakSM
 		rec := newAudit(c.Trace, now, name, pod, reserve, peakSM)
 		var placed *cluster.GPU
 		for _, ci := range pl.candidateOrder() {
