@@ -1,9 +1,10 @@
 # Kube-Knots reproduction — common developer entry points.
 #
-# The bench target regenerates BENCH_baseline.json: every benchmark runs once
-# (-benchtime 1x) and cmd/benchjson folds the text output into sorted JSON
-# with ns/op, B/op, allocs/op and the per-figure headline metrics. Commit the
-# refreshed file when a change is expected to move a baseline.
+# The bench target regenerates BENCH_baseline.json: every benchmark runs
+# three times (-benchtime 1x -count 3) and cmd/benchjson folds the text output
+# into sorted JSON holding the median ns/op, B/op, allocs/op and per-figure
+# headline metrics. Commit the refreshed file when a change is expected to
+# move a baseline.
 
 GO ?= go
 
@@ -24,7 +25,7 @@ vet:
 	$(GO) vet ./...
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/api/ | $(GO) run ./cmd/benchjson > BENCH_baseline.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -count 3 -benchmem . ./internal/api/ | $(GO) run ./cmd/benchjson > BENCH_baseline.json
 	@echo wrote BENCH_baseline.json
 
 # Byte-identical experiment output with observability enabled vs disabled

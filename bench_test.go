@@ -291,7 +291,7 @@ func BenchmarkAggregatorSnapshot(b *testing.B) {
 	// The per-heartbeat path: every node is sampled between snapshots, and
 	// every window is read.
 	cl := cluster.New(cluster.DefaultConfig())
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(100*sim.Millisecond))
 	// Warm every series with a window of heartbeats so Snapshot walks real
 	// data, then measure the per-heartbeat sample + extraction.
 	now := sim.Time(0)
@@ -323,7 +323,7 @@ func BenchmarkAggregatorSnapshot10ms(b *testing.B) {
 	// points (the 100 ms benchmark above has one point per bucket). Every
 	// node is sampled between snapshots, and every window is read.
 	cl := cluster.New(cluster.DefaultConfig())
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(10*sim.Millisecond))
 	now := sim.Time(0)
 	for hb := 0; hb < 600; hb++ {
 		now += 10 * sim.Millisecond
@@ -346,7 +346,7 @@ func BenchmarkMonitorSample(b *testing.B) {
 	// monitor. The first heartbeat creates the rings, so it runs before the
 	// timer.
 	cl := cluster.New(cluster.DefaultConfig())
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(10*sim.Millisecond))
 	now := sim.Time(0)
 	mon.Sample(now)
 	b.ResetTimer()
@@ -362,7 +362,7 @@ func BenchmarkAggregatorSnapshotReplay(b *testing.B) {
 	// scheduler snapshots more often than the monitor samples. No window
 	// is read.
 	cl := cluster.New(cluster.DefaultConfig())
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(100*sim.Millisecond))
 	now := sim.Time(0)
 	for hb := 0; hb < 100; hb++ {
 		now += 100 * sim.Millisecond
@@ -383,7 +383,7 @@ func BenchmarkAggregatorSnapshotDirtyFew(b *testing.B) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 32
 	cl := cluster.New(cfg)
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(100*sim.Millisecond))
 	for n := 1; n < cfg.Nodes; n++ {
 		mon.SetNodeDown(n, true)
 	}
@@ -412,7 +412,7 @@ func benchRoundSnapshot(gpus, pods int) (*knots.Snapshot, []*k8s.Pod) {
 	cfg.GPUsPerNode = 8
 	cfg.Nodes = gpus / cfg.GPUsPerNode
 	cl := cluster.New(cfg)
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(100*sim.Millisecond))
 	o := k8s.NewOrchestrator(sim.NewEngine(2), cl, scheduler.Uniform{}, k8s.Config{})
 	for i, g := range cl.GPUs() {
 		if i%3 == 0 {

@@ -12,8 +12,8 @@
 // rests on one noisy sample.
 //
 // With -baseline, benchjson instead diffs the fresh run against a committed
-// baseline and exits non-zero when ns/op or allocs/op regresses by more than
-// -threshold (a fraction; 0.25 = 25%):
+// baseline and exits non-zero when ns/op, B/op or allocs/op regresses by more
+// than -threshold (a fraction; 0.25 = 25%):
 //
 //	go test -run '^$' -bench . -benchtime 1x -benchmem |
 //	    benchjson -baseline BENCH_baseline.json -threshold 0.25 -match Schedule,Ablation
@@ -175,7 +175,8 @@ type delta struct {
 	Ratio   float64 // fresh/base − 1; positive = regression
 }
 
-// compare diffs fresh results against the baseline on ns/op and allocs/op.
+// compare diffs fresh results against the baseline on ns/op, B/op and
+// allocs/op.
 // Only names containing one of the match substrings are compared (all names
 // when match is empty); benchmarks missing from either side are skipped, so
 // adding or retiring a benchmark never fails the gate. A zero baseline value
@@ -196,6 +197,9 @@ func compare(base, fresh []Result, match []string) []delta {
 		}
 		if b.NsPerOp > 0 {
 			out = append(out, delta{f.Name, "ns/op", b.NsPerOp, f.NsPerOp, f.NsPerOp/b.NsPerOp - 1})
+		}
+		if b.BytesPerOp > 0 {
+			out = append(out, delta{f.Name, "B/op", b.BytesPerOp, f.BytesPerOp, f.BytesPerOp/b.BytesPerOp - 1})
 		}
 		if b.AllocsPerOp > 0 {
 			out = append(out, delta{f.Name, "allocs/op", b.AllocsPerOp, f.AllocsPerOp, f.AllocsPerOp/b.AllocsPerOp - 1})
@@ -251,7 +255,7 @@ func readBaseline(path string) ([]Result, error) {
 
 func main() {
 	baseline := flag.String("baseline", "", "baseline JSON to diff against instead of emitting JSON")
-	threshold := flag.Float64("threshold", 0.25, "max allowed fractional regression in ns/op or allocs/op")
+	threshold := flag.Float64("threshold", 0.25, "max allowed fractional regression in ns/op, B/op or allocs/op")
 	match := flag.String("match", "", "comma-separated substrings selecting which benchmarks to gate (empty = all)")
 	flag.Parse()
 

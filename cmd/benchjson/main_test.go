@@ -113,6 +113,25 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestCompareGatesBytesPerOp: a benchmark whose ns/op and allocs/op hold
+// but whose B/op grows past the threshold fails the gate, so a change that
+// allocates fewer, larger buffers cannot hide a memory regression.
+func TestCompareGatesBytesPerOp(t *testing.T) {
+	base := []Result{{Name: "BenchmarkFig9", NsPerOp: 100, BytesPerOp: 1 << 20, AllocsPerOp: 10}}
+	fresh := []Result{{Name: "BenchmarkFig9", NsPerOp: 100, BytesPerOp: 2 << 20, AllocsPerOp: 10}}
+	deltas := compare(base, fresh, nil)
+	if len(deltas) != 3 || deltas[1].Measure != "B/op" || deltas[1].Ratio != 1.0 {
+		t.Fatalf("deltas = %+v, want ns/op, B/op (+100%%), allocs/op", deltas)
+	}
+	var sb strings.Builder
+	if !runDiff(&sb, base, fresh, nil, 0.25) {
+		t.Fatalf("doubled B/op must fail a 25%% threshold:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "! BenchmarkFig9") || !strings.Contains(sb.String(), "B/op") {
+		t.Fatalf("regressed B/op row should be marked: %q", sb.String())
+	}
+}
+
 func TestCompareMatchFilter(t *testing.T) {
 	base := []Result{
 		{Name: "BenchmarkPPScheduleRound", NsPerOp: 100},

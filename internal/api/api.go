@@ -563,13 +563,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	tok := q.Get("continue")
 	if limit == 0 && tok == "" {
-		filtered := make([]EventStatus, 0, len(sn.events))
-		for _, e := range sn.events {
-			if match(e) {
-				filtered = append(filtered, e)
+		events := sn.events
+		if pod != "" || typ != "" {
+			events = make([]EventStatus, 0, len(sn.events))
+			for _, e := range sn.events {
+				if match(e) {
+					events = append(events, e)
+				}
 			}
 		}
-		writeJSON(w, http.StatusOK, filtered)
+		writeJSON(w, http.StatusOK, events)
 		return
 	}
 	if limit == 0 {
@@ -680,8 +683,11 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Publish the pre-advance view first: every read issued while the
-	// simulation runs is answered from this copy.
-	s.buildSnapshotLocked()
+	// simulation runs is answered from this copy. The view published after
+	// the last mutation is still current unless a submit has landed since.
+	if sn := s.snap.Load(); sn == nil || sn.version != s.version.Load() {
+		s.buildSnapshotLocked()
+	}
 	s.orch.Run(s.orch.Eng.Now() + sim.Time(req.MS))
 	s.version.Add(1)
 	resp := advanceResponse{

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 
 	"kubeknots/internal/k8s"
@@ -174,9 +175,28 @@ func (c *Client) get(path string, out any) error {
 			return lastErr
 		}
 		defer resp.Body.Close()
-		return json.NewDecoder(resp.Body).Decode(out)
+		return decodeBody(resp.Body, out)
 	}
 	return lastErr
+}
+
+// bodyBufs holds the buffers GET responses are read into. A list response
+// is read whole before it is decoded, so reusing its buffer saves growing
+// a fresh one to the size of the list on every call.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads one JSON value from r into out. The decoder copies every
+// string it stores, so out keeps nothing of the buffer.
+func decodeBody(r io.Reader, out any) error {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), out)
 }
 
 func (c *Client) post(path string, in, out any, wantStatus int) error {

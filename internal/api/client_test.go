@@ -3,6 +3,7 @@ package api
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"kubeknots/internal/k8s"
@@ -112,5 +113,27 @@ func TestClientNonJSONError(t *testing.T) {
 	_, err := c.Pods()
 	if err == nil {
 		t.Fatal("teapot should error")
+	}
+}
+
+// TestDecodeBodyKeepsNoBuffer: GET bodies are read into pooled buffers, so
+// a decoded value must keep nothing of the buffer the next call reuses.
+func TestDecodeBodyKeepsNoBuffer(t *testing.T) {
+	var first []PodStatus
+	if err := decodeBody(strings.NewReader(`[{"name":"first-pod","phase":"Pending"}]`+"\n"), &first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		var other []PodStatus
+		if err := decodeBody(strings.NewReader(`[{"name":"xxxxx-xxx","phase":"Running"}]`), &other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(first) != 1 || first[0].Name != "first-pod" || first[0].Phase != "Pending" {
+		t.Fatalf("first decode changed under later ones: %+v", first)
+	}
+	var cut []PodStatus
+	if err := decodeBody(strings.NewReader(`[{"name":"cut`), &cut); err == nil {
+		t.Fatal("truncated body decoded without error")
 	}
 }

@@ -284,3 +284,65 @@ func TestAdvanceSingleFlight(t *testing.T) {
 		t.Fatalf("advance after release: HTTP %d, want 200", code)
 	}
 }
+
+// peekScheduler places nothing, so every submitted pod stays pending and
+// each round calls Schedule, which records the view readers would be
+// served at that moment of the advance.
+type peekScheduler struct {
+	srv  *Server
+	seen *snapshot // the published view at the last round
+}
+
+func (p *peekScheduler) Name() string { return "peek" }
+
+func (p *peekScheduler) Schedule(now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot) []k8s.Decision {
+	p.seen = p.srv.snap.Load()
+	if p.seen.version != p.srv.version.Load() {
+		p.seen = nil // readers would rebuild: the published view is stale
+	}
+	return nil
+}
+
+// TestAdvancePublishesCurrentView: reads during an advance are served the
+// view of every mutation before it. An advance right after another keeps
+// the view the last one published; one after a submit publishes a new view
+// holding the submitted pod.
+func TestAdvancePublishesCurrentView(t *testing.T) {
+	peek := &peekScheduler{}
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 1
+	orch := k8s.NewOrchestrator(sim.NewEngine(1), cluster.New(cfg), peek, k8s.Config{})
+	s := NewServer(orch)
+	peek.srv = s
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+
+	if _, err := c.SubmitManifest(manifest("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.Advance(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	after := s.snap.Load()
+	if after.nowMS != int64(sim.Second) {
+		t.Fatalf("view after the first advance at %d ms", after.nowMS)
+	}
+	if _, _, _, err := c.Advance(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if peek.seen != after {
+		t.Fatalf("second advance served %+v, want the view the first one published", peek.seen)
+	}
+
+	if _, err := c.SubmitManifest(manifest("b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.Advance(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	sn := peek.seen
+	if sn == nil || sn.nowMS != int64(2*sim.Second) || len(sn.pods) != 2 || sn.pods[1].Name != "b" {
+		t.Fatalf("advance after a submit served %+v, want both pods at 2000 ms", sn)
+	}
+}

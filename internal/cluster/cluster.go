@@ -112,9 +112,13 @@ type GPU struct {
 	sleepAfter sim.Time
 
 	containers []*Container
-	idleSince  sim.Time
-	asleep     bool
-	failed     bool
+	// wants is tick's scratch: each busy tick refills it, so the per-tick
+	// demand list allocates only when the device holds more containers
+	// than it has held before.
+	wants     []want
+	idleSince sim.Time
+	asleep    bool
+	failed    bool
 
 	Obs   Observation
 	Meter energy.Meter
@@ -336,11 +340,11 @@ func (g *GPU) tick(now sim.Time, dt sim.Time, res *TickResult) {
 	g.asleep = false
 
 	// Gather demands.
-	wants := make([]want, len(g.containers))
+	wants := g.wants[:0]
 	var txSum, rxSum, memSum float64
-	for i, cn := range g.containers {
+	for _, cn := range g.containers {
 		d := cn.Inst.Demand()
-		wants[i] = want{cn, d}
+		wants = append(wants, want{cn, d})
 		txSum += d.TxMBps
 		rxSum += d.RxMBps
 		memSum += d.MemMB
@@ -445,6 +449,8 @@ func (g *GPU) tick(now sim.Time, dt sim.Time, res *TickResult) {
 		Containers:    len(g.containers),
 	}
 	g.Meter.Add(dt, g.Obs.PowerW)
+	clear(wants) // hold no finished container past its tick
+	g.wants = wants[:0]
 }
 
 // FailNode fails every device of one node and returns all evicted

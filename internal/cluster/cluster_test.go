@@ -356,3 +356,32 @@ func TestGPUIDMatchesNodeAndIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestTickKeepsNoFinishedContainer: the demand scratch a device reuses
+// across ticks must not keep a container alive after the tick that
+// finished it.
+func TestTickKeepsNoFinishedContainer(t *testing.T) {
+	c := newTestCluster(1)
+	g := c.GPUs()[0]
+	for _, id := range []string{"a", "b"} {
+		if err := g.Place(0, cont(id, workloads.Pathfinder), 3000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now, done := sim.Time(0), 0
+	for i := 0; i < 10000 && done < 2; i++ {
+		done += len(c.Tick(now, 100*sim.Millisecond).Done)
+		now += 100 * sim.Millisecond
+	}
+	if done != 2 {
+		t.Fatalf("%d of 2 containers completed", done)
+	}
+	if cap(g.wants) < 2 {
+		t.Fatalf("scratch capacity %d, want the two containers' demands", cap(g.wants))
+	}
+	for i, w := range g.wants[:cap(g.wants)] {
+		if w.c != nil {
+			t.Fatalf("scratch slot %d still holds container %s", i, w.c.ID)
+		}
+	}
+}

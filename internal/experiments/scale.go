@@ -77,7 +77,7 @@ func newScaleRig(gpus int, p scaleParams) *scaleRig {
 	cfg.GPUsPerNode = p.GPUsPerNode
 	cfg.Nodes = (gpus + p.GPUsPerNode - 1) / p.GPUsPerNode
 	cl := cluster.New(cfg)
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(100*sim.Millisecond))
 	o := k8s.NewOrchestrator(sim.NewEngine(p.Seed+1), cl, scheduler.Uniform{}, k8s.Config{})
 	for i, g := range cl.GPUs() {
 		switch i % 3 {

@@ -5,7 +5,6 @@ import (
 
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/energy"
-	"kubeknots/internal/knots"
 	"kubeknots/internal/metrics"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/trace"
@@ -94,8 +93,10 @@ func Fig2b(seed int64, cfg trace.Config) *Table {
 }
 
 // Fig3 regenerates Fig. 3: the five-metric resource consumption over time
-// of the Rodinia batch suite run sequentially on one GPU, sampled by the
-// Knots monitor.
+// of the Rodinia batch suite run sequentially on one GPU. The cluster ticks
+// every 100 ms, and every sampleEvery a row reads the device's observation,
+// the reading a Knots monitor heartbeat records. No monitor history is
+// kept: the table needs only the current reading.
 func Fig3(sampleEvery sim.Time) *Table {
 	if sampleEvery <= 0 {
 		sampleEvery = 2 * sim.Second
@@ -103,7 +104,6 @@ func Fig3(sampleEvery sim.Time) *Table {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 1
 	cl := cluster.New(cfg)
-	mon := knots.NewMonitor(cl, 1<<20)
 	g := cl.GPUs()[0]
 
 	t := &Table{
@@ -124,7 +124,6 @@ func Fig3(sampleEvery sim.Time) *Table {
 		var sinceSample sim.Time
 		for running {
 			res := cl.Tick(now, 100*sim.Millisecond)
-			mon.Sample(now)
 			sinceSample += 100 * sim.Millisecond
 			if sinceSample >= sampleEvery {
 				sinceSample = 0

@@ -276,7 +276,7 @@ type Orchestrator struct {
 // NewOrchestrator assembles an orchestrator over eng and cl using sched.
 func NewOrchestrator(eng *sim.Engine, cl *cluster.Cluster, sched Scheduler, cfg Config) *Orchestrator {
 	cfg = cfg.withDefaults()
-	mon := knots.NewMonitor(cl, 0)
+	mon := knots.NewMonitor(cl, knots.RingCapacity(cfg.Heartbeat))
 	o := &Orchestrator{
 		Eng:         eng,
 		Cluster:     cl,

@@ -71,7 +71,8 @@ type Monitor struct {
 }
 
 // NewMonitor creates a monitor with one node-local DB per node; capacity is
-// the per-series ring size (0 = tsdb.DefaultCapacity).
+// the per-series ring size (0 = tsdb.DefaultCapacity). A monitor feeding an
+// aggregator's window sizes it with RingCapacity.
 func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 	gpus := cl.GPUs()
 	nodes := 0
@@ -258,6 +259,8 @@ type Snapshot struct {
 type Aggregator struct {
 	Monitor *Monitor
 	// Window is the sliding query window (the paper uses five seconds).
+	// An orchestrator's monitor sizes its rings with RingCapacity, which
+	// covers DefaultWindow and no more: a longer window reads past them.
 	Window sim.Time
 	// MaxPoints sets the snapshot series resolution (default 64) by
 	// mean-downsampling the window into buckets of Window/MaxPoints — the
@@ -304,6 +307,19 @@ type Aggregator struct {
 
 // DefaultWindow is the paper's five-second scheduling window.
 const DefaultWindow = 5 * sim.Second
+
+// RingCapacity is the per-series ring size for a monitor sampled every
+// heartbeat: two scheduling windows of rows, where one window [t-W, t]
+// holds DefaultWindow/heartbeat + 1 of them. The first window covers every
+// read. The second is slack for a lazy MemSeries read, which stays exact
+// while at most capacity − window rows have been appended since its
+// snapshot pinned the series: 501 heartbeats at 10 ms, and every consumer
+// reads within one scheduling round. Same-instant resamples and delayed
+// heartbeats stamped inside the window add rows too; the slack absorbs
+// them.
+func RingCapacity(heartbeat sim.Time) int {
+	return int(2*DefaultWindow/heartbeat) + 2
+}
 
 // DefaultMaxPoints is the default snapshot series length.
 const DefaultMaxPoints = 64

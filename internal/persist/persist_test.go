@@ -96,14 +96,21 @@ func TestDecodeStateRejectsDamage(t *testing.T) {
 }
 
 // TestDecodeStateRejectsOldVersion: a version-1 digest, which carried a
-// trailing daemon sequence number, is refused by name instead of being
-// misread.
+// trailing daemon sequence number, and a version-2 digest, whose rings held
+// 10,000 rows and so can never match a replay, are refused by name instead
+// of being misread or failing verification at some byte.
 func TestDecodeStateRejectsOldVersion(t *testing.T) {
 	data := EncodeState(replayState(t, testCommands()))
-	v1 := append(append([]byte{1}, data[1:]...), 0, 0, 0, 0, 0, 0, 0, 0)
-	_, err := DecodeState(v1)
-	if err == nil || !strings.Contains(err.Error(), "unsupported state version 1") {
-		t.Fatalf("version-1 state: err = %v, want unsupported state version 1", err)
+	old := map[byte][]byte{
+		1: append(append([]byte{1}, data[1:]...), 0, 0, 0, 0, 0, 0, 0, 0),
+		2: append([]byte{2}, data[1:]...),
+	}
+	for v, enc := range old {
+		_, err := DecodeState(enc)
+		want := fmt.Sprintf("unsupported state version %d (want %d)", v, stateVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d state: err = %v, want %s", v, err, want)
+		}
 	}
 }
 

@@ -46,3 +46,27 @@ func TestCapturedSeriesSkipNeverSampledNode(t *testing.T) {
 		t.Fatalf("captured series = %v, want %v", got, want)
 	}
 }
+
+// TestStateSeriesBounded pins the telemetry part of a State to the rings an
+// orchestrator's monitor keeps: after 30 s and after 120 s of simulated
+// time, every captured series holds exactly knots.RingCapacity rows of the
+// default 10 ms heartbeat, so a snapshot's telemetry does not grow with the
+// horizon.
+func TestStateSeriesBounded(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 2
+	o := k8s.NewOrchestrator(sim.NewEngine(1), cluster.New(cfg), &scheduler.PP{}, k8s.Config{})
+	want := knots.RingCapacity(10 * sim.Millisecond)
+	for _, horizon := range []sim.Time{30 * sim.Second, 120 * sim.Second} {
+		o.Run(horizon)
+		st := CaptureState(o, nil)
+		if len(st.Series) == 0 {
+			t.Fatalf("at %v: no series captured", horizon)
+		}
+		for _, s := range st.Series {
+			if len(s.Points) != want {
+				t.Fatalf("at %v: node %d series %s holds %d points, want %d", horizon, s.Node, s.Name, len(s.Points), want)
+			}
+		}
+	}
+}

@@ -10,9 +10,12 @@ import (
 	"kubeknots/internal/tsdb"
 )
 
-// stateVersion is bumped whenever the State binary layout changes.
+// stateVersion is bumped whenever the State binary layout, or what a replay
+// writes into it, changes.
 // Version 2 dropped the trailing daemon sequence number of version 1.
-const stateVersion = byte(2)
+// Version 3 rings hold two scheduling windows (knots.RingCapacity), not
+// 10,000 rows, so a replay no longer reproduces a version-2 digest.
+const stateVersion = byte(3)
 
 // State is the observable control-plane state at one instant: sim clock,
 // engine fingerprint, pods, scheduling queue, retained events, tsdb rings,

@@ -191,9 +191,10 @@ type group struct {
 // the string hash on every call.
 type SeriesID int32
 
-// DefaultCapacity is the per-ring size when 0 is passed to New: 10 000
-// rows hold ten seconds of 1 ms-heartbeat samples — double the paper's
-// five-second scheduling window.
+// DefaultCapacity is the per-ring size when 0 is passed to New, as tests
+// and other callers with no window to cover do. A knots monitor behind an
+// orchestrator sizes its rings from its heartbeat instead
+// (knots.RingCapacity).
 const DefaultCapacity = 10000
 
 // New returns a DB whose rings each retain at most capacity rows
