@@ -9,7 +9,8 @@
 // details, so re-running on the same machine produces a minimal diff.
 // Repeats of one benchmark (`go test -count N`) fold into a single result
 // holding the median of each measure, so neither the baseline nor the gate
-// rests on one noisy sample.
+// rests on one noisy sample, and the [min, max] of ns/op, B/op and allocs/op
+// under "spread", so a reader sees how far the repeats strayed from it.
 //
 // With -baseline, benchjson instead diffs the fresh run against a committed
 // baseline and exits non-zero when ns/op, B/op or allocs/op regresses by more
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,6 +41,10 @@ type Result struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Spread holds the [min, max] of each standard measure ("ns/op",
+	// "B/op", "allocs/op") over the repeats a median was folded from; a
+	// single sample has none.
+	Spread map[string][2]float64 `json:"spread,omitempty"`
 }
 
 // parseBench reads `go test -bench` output and returns the benchmark results
@@ -93,7 +99,7 @@ func parseBench(r io.Reader) ([]Result, error) {
 
 // foldRepeats merges each run of same-named results (sorted input) into one
 // result whose iterations, ns/op, B/op, allocs/op and custom metrics are the
-// medians of the run's values.
+// medians of the run's values, with the spread of the standard measures.
 func foldRepeats(in []Result) []Result {
 	var out []Result
 	for i := 0; i < len(in); {
@@ -113,19 +119,24 @@ func medianResult(rs []Result) Result {
 	if len(rs) == 1 {
 		return rs[0]
 	}
-	of := func(f func(Result) float64) float64 {
+	spread := map[string][2]float64{}
+	of := func(measure string, f func(Result) float64) float64 {
 		vs := make([]float64, len(rs))
 		for i, r := range rs {
 			vs[i] = f(r)
+		}
+		if measure != "" {
+			spread[measure] = [2]float64{slices.Min(vs), slices.Max(vs)}
 		}
 		return median(vs)
 	}
 	m := Result{
 		Name:        rs[0].Name,
-		Iterations:  int64(of(func(r Result) float64 { return float64(r.Iterations) })),
-		NsPerOp:     of(func(r Result) float64 { return r.NsPerOp }),
-		BytesPerOp:  of(func(r Result) float64 { return r.BytesPerOp }),
-		AllocsPerOp: of(func(r Result) float64 { return r.AllocsPerOp }),
+		Iterations:  int64(of("", func(r Result) float64 { return float64(r.Iterations) })),
+		NsPerOp:     of("ns/op", func(r Result) float64 { return r.NsPerOp }),
+		BytesPerOp:  of("B/op", func(r Result) float64 { return r.BytesPerOp }),
+		AllocsPerOp: of("allocs/op", func(r Result) float64 { return r.AllocsPerOp }),
+		Spread:      spread,
 	}
 	metrics := map[string][]float64{}
 	for _, r := range rs {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -63,6 +65,41 @@ BenchmarkB-2   1   70 ns/op
 	// An even count takes the mean of the two middle values.
 	if b := got[1]; b.Name != "BenchmarkB" || b.NsPerOp != 60 || b.Metrics != nil {
 		t.Fatalf("even count: %+v", b)
+	}
+}
+
+func TestParseBenchRecordsSpreadOfRepeats(t *testing.T) {
+	const repeats = `BenchmarkA-2   3   300 ns/op   30 B/op   3 allocs/op
+BenchmarkA-2   5   100 ns/op   10 B/op   1 allocs/op
+BenchmarkA-2   4   200 ns/op   90 B/op   2 allocs/op
+BenchmarkB-2   1   50 ns/op
+BenchmarkB-2   1   70 ns/op
+BenchmarkC-2   1   40 ns/op   8 B/op   1 allocs/op
+`
+	got, err := parseBench(strings.NewReader(repeats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string][2]float64{
+		"BenchmarkA": {"ns/op": {100, 300}, "B/op": {10, 90}, "allocs/op": {1, 3}},
+		"BenchmarkB": {"ns/op": {50, 70}, "B/op": {0, 0}, "allocs/op": {0, 0}},
+	}
+	for _, r := range got {
+		if fmt.Sprint(r.Spread) != fmt.Sprint(want[r.Name]) {
+			t.Errorf("%s spread = %v, want %v", r.Name, r.Spread, want[r.Name])
+		}
+	}
+	// The spread survives the JSON round trip the baseline takes.
+	buf, err := json.Marshal(got[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(buf), `"spread":{"B/op":[10,90],"allocs/op":[1,3],"ns/op":[100,300]}`) {
+		t.Fatalf("JSON = %s", buf)
+	}
+	var back Result
+	if err := json.Unmarshal(buf, &back); err != nil || fmt.Sprint(back.Spread) != fmt.Sprint(want["BenchmarkA"]) {
+		t.Fatalf("decoded spread = %v (%v)", back.Spread, err)
 	}
 }
 

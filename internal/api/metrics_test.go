@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -139,5 +140,72 @@ func TestMetricsAPISeriesPresent(t *testing.T) {
 	}
 	if !strings.Contains(body, "api_inflight 0") {
 		t.Error("api_inflight not exposed at zero")
+	}
+}
+
+// heartbeatsIn returns knots_heartbeats_total from a /metrics body.
+func heartbeatsIn(t *testing.T, body string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^knots_heartbeats_total (\S+)$`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("knots_heartbeats_total absent from /metrics:\n%s", body)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestMetricsScrapeDuringAdvance scrapes /metrics while /v1/advance drives
+// the simulation: the sim path writes its run's cells and folds them when
+// each advance's Orchestrator.Run returns, so the scrapes are race-free
+// (run under -race) and the advances' heartbeats all reach /metrics.
+func TestMetricsScrapeDuringAdvance(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = 2
+	orch := k8s.NewOrchestrator(eng, cluster.New(ccfg), &scheduler.PP{}, k8s.Config{})
+	srv := NewServer(orch)
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.Handle("/metrics", obs.PromHandler(obs.Default()))
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	before := heartbeatsIn(t, get(t, ts.URL+"/metrics"))
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	const advances, ms = 20, 100
+	for i := 0; i < advances; i++ {
+		resp := post(t, ts.URL+"/v1/advance", map[string]int64{"ms": ms})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("advance %d: HTTP %d", i, resp.StatusCode)
+		}
+	}
+	close(stop)
+	<-done
+	want := float64(advances * ms / int(orch.Cfg.Heartbeat))
+	if got := heartbeatsIn(t, get(t, ts.URL+"/metrics")) - before; got < want {
+		t.Fatalf("/metrics shows %v new heartbeats after the advances, want at least %v", got, want)
 	}
 }

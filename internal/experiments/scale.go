@@ -28,10 +28,6 @@ var (
 	mScaleSnapshot = obs.Default().HistogramVec("scale_snapshot_seconds",
 		"Wall time of one aggregator snapshot in the fig-scale study.",
 		obs.LatencyBuckets, "gpus")
-	// The family the knots aggregator increments; registering here fetches
-	// the existing instrument so the study can read deltas.
-	mScaleRebuilds = obs.Default().Counter("knots_snapshot_node_rebuilds_total",
-		"Per-node snapshot stats built: every live node in every snapshot.")
 )
 
 // ScaleSizes is the default GPU-count ladder of the fig-scale study.
@@ -141,7 +137,7 @@ func (r *scaleRig) timeRound(schedName string, repeats, gpus int) float64 {
 // nodes built per snapshot.
 func (r *scaleRig) measureAggregator(iters, gpus int) (sec, builtPer float64) {
 	step := 100 * sim.Millisecond
-	built0 := mScaleRebuilds.Value()
+	built0 := r.agg.NodeRebuilds()
 	for i := 0; i < iters; i++ {
 		r.now += step
 		r.mon.Sample(r.now)
@@ -153,7 +149,8 @@ func (r *scaleRig) measureAggregator(iters, gpus int) (sec, builtPer float64) {
 			sec = d
 		}
 	}
-	return sec, (mScaleRebuilds.Value() - built0) / float64(iters)
+	obs.Fold(r.mon.Cells(), r.agg.Cells())
+	return sec, (r.agg.NodeRebuilds() - built0) / float64(iters)
 }
 
 func fus(sec float64) string { return fmt.Sprintf("%.0f", sec*1e6) }

@@ -84,7 +84,7 @@ func New(o *k8s.Orchestrator, cfg Config) *Controller {
 			SMCeiling: cfg.SMCeiling,
 		},
 		tracer:      obs.Nop,
-		cm:          newCtlMetrics(o.Sched.Name()),
+		cm:          newCtlMetrics(o.Cells(), o.Sched.Name()),
 		lastOutcome: make(map[string]string),
 	}
 	o.SetHarvester(c)

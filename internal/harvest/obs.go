@@ -2,10 +2,11 @@ package harvest
 
 import "kubeknots/internal/obs"
 
-// Labelled families, registered once at package init; each controller caches
-// its scheduler's children so the tick never touches the family map. Pure
-// telemetry — nothing feeds back into decisions, so instrumented and bare
-// runs stay byte-identical.
+// Labelled families, registered once at package init; each controller
+// writes cells of its scheduler's children in its orchestrator's cell set
+// (see obs.Cells), so the tick never touches the family map or the registry
+// lock, and Orchestrator.Run folds them in. Pure telemetry — nothing feeds
+// back into decisions, so instrumented and bare runs stay byte-identical.
 var (
 	mAdmissions = obs.Default().CounterVec("harvest_admissions_total",
 		"Best-effort pods opportunistically bound by the harvest controller.",
@@ -22,23 +23,23 @@ var (
 		"Harvested pods currently bound to a device.", "scheduler")
 )
 
-// ctlMetrics holds one controller's pre-resolved metric children.
+// ctlMetrics holds one controller's cells of its scheduler's children.
 type ctlMetrics struct {
-	admissions       *obs.Counter
-	preemptWatermark *obs.Counter
-	preemptDrain     *obs.Counter
-	migrations       *obs.Counter
-	overWatermark    *obs.Gauge
-	resident         *obs.Gauge
+	admissions       *obs.CounterCell
+	preemptWatermark *obs.CounterCell
+	preemptDrain     *obs.CounterCell
+	migrations       *obs.CounterCell
+	overWatermark    *obs.GaugeCell
+	resident         *obs.GaugeCell
 }
 
-func newCtlMetrics(scheduler string) *ctlMetrics {
+func newCtlMetrics(cells *obs.Cells, scheduler string) *ctlMetrics {
 	return &ctlMetrics{
-		admissions:       mAdmissions.With(scheduler),
-		preemptWatermark: mPreemptions.With(scheduler, "watermark"),
-		preemptDrain:     mPreemptions.With(scheduler, "drain"),
-		migrations:       mMigrations.With(scheduler),
-		overWatermark:    mOverWatermark.With(scheduler),
-		resident:         mResident.With(scheduler),
+		admissions:       cells.Counter(mAdmissions.With(scheduler)),
+		preemptWatermark: cells.Counter(mPreemptions.With(scheduler, "watermark")),
+		preemptDrain:     cells.Counter(mPreemptions.With(scheduler, "drain")),
+		migrations:       cells.Counter(mMigrations.With(scheduler)),
+		overWatermark:    cells.Gauge(mOverWatermark.With(scheduler)),
+		resident:         cells.Gauge(mResident.With(scheduler)),
 	}
 }

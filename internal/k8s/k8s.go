@@ -17,6 +17,7 @@ import (
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/knots"
 	"kubeknots/internal/metrics"
+	"kubeknots/internal/obs"
 	"kubeknots/internal/qos"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/workloads"
@@ -262,7 +263,11 @@ type Orchestrator struct {
 	// plane — running containers, heartbeats, telemetry — keeps going.
 	ctlDown           bool
 	ControllerCrashes int
-	om                *orchMetrics
+	// cells holds the run's instrument cells: the orchestrator's own (om)
+	// and those of any controller attached to it. Run folds them, with the
+	// monitor's and aggregator's, when it returns.
+	cells obs.Cells
+	om    *orchMetrics
 	// harvest is the runtime harvest controller hook (nil = no controller:
 	// the scheduler sees every pending pod and drains restart from zero,
 	// byte-identical to a build without the harvest subsystem).
@@ -287,11 +292,11 @@ func NewOrchestrator(eng *sim.Engine, cl *cluster.Cluster, sched Scheduler, cfg 
 		QoS:         &qos.Tracker{},
 		Events:      NewEventLog(cfg.EventCapacity),
 		Cfg:         cfg,
-		om:          newOrchMetrics(sched.Name()),
 		byContainer: make(map[*cluster.Container]*Pod),
 		NodeUtil:    make([][]float64, cl.Cfg.Nodes),
 		AwakeUtil:   make([][]float64, cl.Cfg.Nodes),
 	}
+	o.om = newOrchMetrics(&o.cells, sched.Name())
 	o.Agg.StaleAfter = cfg.StaleAfter
 	o.Agg.DeadAfter = cfg.DeadAfter
 	return o
@@ -361,13 +366,23 @@ func (o *Orchestrator) Start() {
 	})
 }
 
-// Run starts (if needed) and drives the engine until the given time.
+// Run starts (if needed) and drives the engine until the given time. When
+// it returns, even by a panic out of an event (an injected
+// persist.CrashError unwinds through here), it folds what the run counted
+// into the registry: a scrape shows the sim-path families as of the last
+// completed Run.
 func (o *Orchestrator) Run(until sim.Time) {
+	defer obs.Fold(&o.cells, o.Monitor.Cells(), o.Agg.Cells())
 	if !o.started {
 		o.Start()
 	}
 	o.Eng.Run(until)
 }
+
+// Cells returns the orchestrator's instrument cells. A controller attached
+// to it (the harvest controller) makes its own cells here, so that Run
+// folds them too.
+func (o *Orchestrator) Cells() *obs.Cells { return &o.cells }
 
 func (o *Orchestrator) tick(now sim.Time) {
 	res := o.Cluster.Tick(now, o.Cfg.Tick)

@@ -3,9 +3,11 @@ package k8s
 import "kubeknots/internal/obs"
 
 // Labelled families, registered once at package init; each orchestrator
-// caches its scheduler's children so the hot loop never touches the family
-// map. All of it is harness telemetry: nothing here feeds back into
-// scheduling, so instrumented and bare runs stay byte-identical.
+// writes per-run cells of its scheduler's children (see obs.Cells), so the
+// hot loop never touches the family map or the registry lock, and Run folds
+// the cells in when it returns. All of it is harness telemetry: nothing here
+// feeds back into scheduling, so instrumented and bare runs stay
+// byte-identical.
 var (
 	mPlacements = obs.Default().CounterVec("k8s_placements_total",
 		"Pods bound to a device.", "scheduler")
@@ -32,37 +34,37 @@ var (
 		"Control-plane crashes injected by chaos testing.", "scheduler")
 )
 
-// orchMetrics holds one orchestrator's pre-resolved metric children.
+// orchMetrics holds one orchestrator's cells of its scheduler's children.
 type orchMetrics struct {
-	placements          *obs.Counter
-	rejectAffinity      *obs.Counter
-	rejectBind          *obs.Counter
-	rejectUnschedulable *obs.Counter
-	queueDepth          *obs.Gauge
-	decisionSeconds     *obs.Histogram
-	completions         *obs.Counter
-	oomKills            *obs.Counter
-	restarts            *obs.Counter
-	evictions           *obs.Counter
-	drains              *obs.Counter
-	preemptions         *obs.Counter
-	controllerCrashes   *obs.Counter
+	placements          *obs.CounterCell
+	rejectAffinity      *obs.CounterCell
+	rejectBind          *obs.CounterCell
+	rejectUnschedulable *obs.CounterCell
+	queueDepth          *obs.GaugeCell
+	decisionSeconds     *obs.HistogramCell
+	completions         *obs.CounterCell
+	oomKills            *obs.CounterCell
+	restarts            *obs.CounterCell
+	evictions           *obs.CounterCell
+	drains              *obs.CounterCell
+	preemptions         *obs.CounterCell
+	controllerCrashes   *obs.CounterCell
 }
 
-func newOrchMetrics(scheduler string) *orchMetrics {
+func newOrchMetrics(cells *obs.Cells, scheduler string) *orchMetrics {
 	return &orchMetrics{
-		placements:          mPlacements.With(scheduler),
-		rejectAffinity:      mRejections.With(scheduler, "affinity"),
-		rejectBind:          mRejections.With(scheduler, "bind"),
-		rejectUnschedulable: mRejections.With(scheduler, "unschedulable"),
-		queueDepth:          mQueueDepth.With(scheduler),
-		decisionSeconds:     mDecisionSeconds.With(scheduler),
-		completions:         mCompletions.With(scheduler),
-		oomKills:            mOOMKills.With(scheduler),
-		restarts:            mRestarts.With(scheduler),
-		evictions:           mEvictions.With(scheduler),
-		drains:              mDrains.With(scheduler),
-		preemptions:         mPreemptions.With(scheduler),
-		controllerCrashes:   mControllerCrashes.With(scheduler),
+		placements:          cells.Counter(mPlacements.With(scheduler)),
+		rejectAffinity:      cells.Counter(mRejections.With(scheduler, "affinity")),
+		rejectBind:          cells.Counter(mRejections.With(scheduler, "bind")),
+		rejectUnschedulable: cells.Counter(mRejections.With(scheduler, "unschedulable")),
+		queueDepth:          cells.Gauge(mQueueDepth.With(scheduler)),
+		decisionSeconds:     cells.Histogram(mDecisionSeconds.With(scheduler)),
+		completions:         cells.Counter(mCompletions.With(scheduler)),
+		oomKills:            cells.Counter(mOOMKills.With(scheduler)),
+		restarts:            cells.Counter(mRestarts.With(scheduler)),
+		evictions:           cells.Counter(mEvictions.With(scheduler)),
+		drains:              cells.Counter(mDrains.With(scheduler)),
+		preemptions:         cells.Counter(mPreemptions.With(scheduler)),
+		controllerCrashes:   cells.Counter(mControllerCrashes.With(scheduler)),
 	}
 }

@@ -78,9 +78,9 @@ func TestIncrementalSnapshotMatchesFresh(t *testing.T) {
 		fresh := &Aggregator{Monitor: mon, Window: live.Window, MaxPoints: live.MaxPoints,
 			StaleAfter: live.StaleAfter, DeadAfter: live.DeadAfter}
 		want := fresh.Snapshot(now)
-		built0 := mNodeRebuilds.Value()
+		built0 := live.NodeRebuilds()
 		got := live.Snapshot(now)
-		if built, nLive := mNodeRebuilds.Value()-built0, cfg.Nodes-len(got.DeadNodes); built != float64(nLive) {
+		if built, nLive := live.NodeRebuilds()-built0, cfg.Nodes-len(got.DeadNodes); built != float64(nLive) {
 			t.Fatalf("%s: %v nodes built, want the %d live ones", label, built, nLive)
 		}
 		sawDead = sawDead || len(got.DeadNodes) > 0

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"kubeknots/internal/cluster"
+	"kubeknots/internal/obs"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/tsdb"
 )
@@ -49,12 +50,12 @@ func seriesName(g *cluster.GPU, metric string) string {
 // node-major, so a device's position is Node·GPUsPerNode + Index.
 type Monitor struct {
 	Cluster *cluster.Cluster
-	// ids holds each device's five series IDs in Metrics order, one group
-	// of its node's DB, resolved once here so that a heartbeat neither
-	// formats nor hashes a name. The group's ring is created by its first
-	// row. memIDs repeats each device's memory ID, so that a node's are one
-	// contiguous run.
-	ids    [][numMetrics]tsdb.SeriesID
+	// ws holds each device's writer: its five series, in Metrics order,
+	// are one group of its node's DB, resolved once here so that a
+	// heartbeat neither formats nor looks up a name. The group's ring is
+	// created by its first row. memIDs holds each device's memory series
+	// ID, so that a node's are one contiguous run.
+	ws     []tsdb.Writer
 	memIDs []tsdb.SeriesID
 
 	// mu guards the node DBs and the liveness state below. A DB does no
@@ -68,6 +69,9 @@ type Monitor struct {
 	reported   []bool                // by node: sampled at least once
 	lastSample []sim.Time            // by node; valid once reported
 	lastObs    []cluster.Observation // by device; valid once its node reported
+
+	cells obs.Cells
+	met   monMetrics
 }
 
 // NewMonitor creates a monitor with one node-local DB per node; capacity is
@@ -82,13 +86,14 @@ func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 	m := &Monitor{
 		Cluster:    cl,
 		dbs:        make([]*tsdb.DB, nodes),
-		ids:        make([][numMetrics]tsdb.SeriesID, len(gpus)),
+		ws:         make([]tsdb.Writer, len(gpus)),
 		memIDs:     make([]tsdb.SeriesID, len(gpus)),
 		down:       make([]bool, nodes),
 		reported:   make([]bool, nodes),
 		lastSample: make([]sim.Time, nodes),
 		lastObs:    make([]cluster.Observation, len(gpus)),
 	}
+	m.met = newMonMetrics(&m.cells)
 	for i, g := range gpus {
 		if m.pos(g) != i {
 			panic(fmt.Sprintf("knots: device %s is not laid out node-major", g.ID()))
@@ -100,8 +105,9 @@ func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 		for k, metric := range Metrics {
 			names[k] = seriesName(g, metric)
 		}
-		copy(m.ids[i][:], m.dbs[g.Node].Group(names[:]))
-		m.memIDs[i] = m.ids[i][memIdx]
+		ids := m.dbs[g.Node].Group(names[:])
+		m.ws[i] = m.dbs[g.Node].Writer(ids)
+		m.memIDs[i] = ids[memIdx]
 	}
 	return m
 }
@@ -124,23 +130,25 @@ func (m *Monitor) pos(g *cluster.GPU) int {
 func (m *Monitor) Sample(now sim.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mHeartbeats.Inc()
-	sampled := 0
+	m.met.heartbeats.Inc()
 	for i, g := range m.Cluster.GPUs() {
 		node := g.Node
 		if m.down[node] {
 			continue
 		}
-		o := g.Obs
-		row := [numMetrics]float64{o.SMPct, o.MemUsedMB, o.PowerW, o.TxMBps, o.RxMBps}
-		m.dbs[node].Append(m.ids[i][:], now, row[:])
+		m.lastObs[i] = g.Obs
+		o := &m.lastObs[i]
+		m.ws[i].Append(now, []float64{o.SMPct, o.MemUsedMB, o.PowerW, o.TxMBps, o.RxMBps})
 		m.reported[node] = true
 		m.lastSample[node] = now
-		m.lastObs[i] = o
-		sampled++
+		m.met.gpuSamples.Inc()
 	}
-	mGPUSamples.Add(float64(sampled))
 }
+
+// Cells returns the monitor's instrument cells. They are written under the
+// monitor's lock and reach the registry when the owner folds them
+// (obs.Fold); an orchestrator does so when each Run returns.
+func (m *Monitor) Cells() *obs.Cells { return &m.cells }
 
 // SetNodeDown marks one node's monitor down (true) or back up (false).
 // While down the node is not sampled, so its telemetry goes stale. Nodes
@@ -241,7 +249,7 @@ func (mw *memWindow) series() []float64 {
 		}
 		mw.vals = a.vals[start:len(a.vals):len(a.vals)]
 		mw.gen = a.gen
-		mMemSeriesComputed.Inc()
+		a.met.memSeriesComputed.Inc()
 	}
 	return mw.vals
 }
@@ -303,6 +311,11 @@ type Aggregator struct {
 	mem           []memWindow
 	gen           uint64
 	at, w, bucket sim.Time
+
+	// met holds the aggregator's cells in cells, made by NewAggregator or,
+	// for an aggregator built as a literal, by its first Snapshot.
+	cells obs.Cells
+	met   *aggMetrics
 }
 
 // DefaultWindow is the paper's five-second scheduling window.
@@ -326,7 +339,9 @@ const DefaultMaxPoints = 64
 
 // NewAggregator wraps a monitor with the default window.
 func NewAggregator(m *Monitor) *Aggregator {
-	return &Aggregator{Monitor: m, Window: DefaultWindow, MaxPoints: DefaultMaxPoints}
+	a := &Aggregator{Monitor: m, Window: DefaultWindow, MaxPoints: DefaultMaxPoints}
+	a.met = newAggMetrics(&a.cells)
+	return a
 }
 
 // age returns how long a node has been silent. Never-sampled nodes count
@@ -374,11 +389,13 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		}
 		a.wasStale = make([]bool, len(m.dbs))
 		a.wasDead = make([]bool, len(m.dbs))
+		if a.met == nil {
+			a.met = newAggMetrics(&a.cells)
+		}
 	}
 	a.gen++
 	a.at, a.w, a.bucket = now, w, w/sim.Time(maxPts)
 	a.vals = a.vals[:0]
-	built := 0
 	// One read lock covers the whole walk: every node's age, last
 	// observations and append counts come from the same monitor state.
 	m.mu.RLock()
@@ -398,26 +415,40 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		} else {
 			n0 := len(a.stats)
 			a.buildNode(gpus, node, stale)
-			built++
+			a.met.nodeRebuilds.Inc()
 			stale = stale && len(a.stats) > n0
 		}
 		// Count liveness boundary crossings (fresh→stale among nodes with a
 		// live device, live→dead) once per transition. Pure telemetry: the
 		// snapshot itself is unchanged.
 		if dead && !a.wasDead[node] {
-			mDeadTransitions.Inc()
+			a.met.deadTransitions.Inc()
 		}
 		if stale && !a.wasStale[node] {
-			mStaleTransitions.Inc()
+			a.met.staleTransitions.Inc()
 		}
 		a.wasDead[node], a.wasStale[node] = dead, stale
 	}
-	mNodeRebuilds.Add(float64(built))
 	snap := &Snapshot{At: now, Stats: a.stats}
 	if len(a.dead) > 0 {
 		snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
 	}
 	return snap
+}
+
+// Cells returns the aggregator's instrument cells. The goroutine that
+// takes its snapshots writes them, and they reach the registry when the
+// owner folds them (obs.Fold); an orchestrator does so when each Run
+// returns.
+func (a *Aggregator) Cells() *obs.Cells { return &a.cells }
+
+// NodeRebuilds returns how many per-node stats the aggregator's snapshots
+// have built.
+func (a *Aggregator) NodeRebuilds() float64 {
+	if a.met == nil {
+		return 0
+	}
+	return a.met.nodeRebuilds.Value()
 }
 
 // buildNode appends one live node's stats and residents to the snapshot

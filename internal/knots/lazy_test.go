@@ -101,23 +101,23 @@ func TestMemSeriesRecomputesOnCacheHit(t *testing.T) {
 	later := now + 230*sim.Millisecond
 	snap := agg.Snapshot(later)
 	n := float64(len(snap.Stats))
-	computed0 := mMemSeriesComputed.Value()
+	computed0 := agg.met.memSeriesComputed.Value()
 	got := readAll(snap)
-	if d := mMemSeriesComputed.Value() - computed0; d != n {
+	if d := agg.met.memSeriesComputed.Value() - computed0; d != n {
 		t.Fatalf("%v windows computed for %v stats read once", d, n)
 	}
 	eqWindows(t, "reused aggregator at a later instant", got, readAll(NewAggregator(m).Snapshot(later)))
 	if slices.Equal(got[0], first[0]) {
 		t.Fatal("the later window equals the earlier one: the check compared nothing")
 	}
-	computed0 = mMemSeriesComputed.Value()
+	computed0 = agg.met.memSeriesComputed.Value()
 	for i := range snap.Stats {
 		a, b := snap.Stats[i].MemSeries(), snap.Stats[i].MemSeries()
 		if len(a) == 0 || &a[0] != &b[0] {
 			t.Fatalf("stat %d: a repeat read returned another slice", i)
 		}
 	}
-	if d := mMemSeriesComputed.Value() - computed0; d != 0 {
+	if d := agg.met.memSeriesComputed.Value() - computed0; d != 0 {
 		t.Fatalf("repeat reads downsampled %v windows again", d)
 	}
 }
@@ -127,7 +127,7 @@ func TestMemSeriesRecomputesOnCacheHit(t *testing.T) {
 func TestUnreadStatReadsNoWindow(t *testing.T) {
 	cl, m, now := lazyRig(t)
 	agg := NewAggregator(m)
-	computed0 := mMemSeriesComputed.Value()
+	computed0 := agg.met.memSeriesComputed.Value()
 	for i := 0; i < 5; i++ {
 		now += 10 * sim.Millisecond
 		cl.Tick(now, 10*sim.Millisecond)
@@ -136,7 +136,7 @@ func TestUnreadStatReadsNoWindow(t *testing.T) {
 			t.Fatalf("stats = %d, want %d", len(snap.Stats), len(cl.GPUs()))
 		}
 	}
-	if d := mMemSeriesComputed.Value() - computed0; d != 0 || agg.pts != nil {
+	if d := agg.met.memSeriesComputed.Value() - computed0; d != 0 || agg.pts != nil {
 		t.Fatalf("unread snapshots downsampled %v windows (scratch %v)", d, agg.pts)
 	}
 }

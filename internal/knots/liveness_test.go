@@ -135,11 +135,11 @@ func TestDeadFromStartAgesOut(t *testing.T) {
 func TestLivenessTransitionsCountOnce(t *testing.T) {
 	cl, mon, agg := livenessRig(t)
 	cl.Cfg.Nodes++ // node 3 has no devices and never reports
-	stale0, dead0 := mStaleTransitions.Value(), mDeadTransitions.Value()
+	stale0, dead0 := agg.met.staleTransitions.Value(), agg.met.deadTransitions.Value()
 	want := func(label string, stale, dead float64) {
 		t.Helper()
-		gotStale := mStaleTransitions.Value() - stale0
-		gotDead := mDeadTransitions.Value() - dead0
+		gotStale := agg.met.staleTransitions.Value() - stale0
+		gotDead := agg.met.deadTransitions.Value() - dead0
 		if gotStale != stale || gotDead != dead {
 			t.Fatalf("%s: stale transitions = %v, dead = %v; want %v, %v",
 				label, gotStale, gotDead, stale, dead)

@@ -217,21 +217,23 @@ func (h *Histogram) Observe(v float64) {
 	c := h.c
 	c.fam.lockShared()
 	c.mu.Lock()
-	placed := false
-	for i, ub := range c.fam.buckets {
-		if v <= ub {
-			c.counts[i]++
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		c.inf++
-	}
+	c.inf += observe(c.fam.buckets, c.counts, v)
 	c.sum += v
 	c.count++
 	c.mu.Unlock()
 	c.fam.unlockShared()
+}
+
+// observe counts v in the first bucket whose upper bound holds it and
+// returns 0, or returns 1 for the overflow bucket.
+func observe(buckets []float64, counts []uint64, v float64) uint64 {
+	for i, ub := range buckets {
+		if v <= ub {
+			counts[i]++
+			return 0
+		}
+	}
+	return 1
 }
 
 // Count returns the number of observations.

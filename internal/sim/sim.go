@@ -119,10 +119,16 @@ func (e *Engine) At(t Time, fn func(now Time)) *Event {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &Event{At: t, Fn: fn, seq: e.seq}
+	ev := &Event{At: t, Fn: fn}
+	e.push(ev)
+	return ev
+}
+
+// push queues ev behind every event already queued for its instant.
+func (e *Engine) push(ev *Event) {
+	ev.seq = e.seq
 	e.seq++
 	heap.Push(&e.events, ev)
-	return ev
 }
 
 // After schedules fn to run d after the current time.
@@ -131,18 +137,21 @@ func (e *Engine) After(d Time, fn func(now Time)) *Event {
 }
 
 // Every schedules fn at now+d, then every d thereafter, until fn returns
-// false or the run ends.
+// false or the run ends. The loop re-queues its one event each period
+// instead of allocating another. The event takes its place in the queue
+// after fn returns, so events fn schedules for the next period's instant
+// still fire before it.
 func (e *Engine) Every(d Time, fn func(now Time) bool) {
 	if d <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	var tick func(now Time)
-	tick = func(now Time) {
+	var ev *Event
+	ev = e.At(e.now+d, func(now Time) {
 		if fn(now) {
-			e.At(now+d, tick)
+			ev.At = now + d
+			e.push(ev)
 		}
-	}
-	e.At(e.now+d, tick)
+	})
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -286,5 +287,99 @@ func TestFingerprintDeterministic(t *testing.T) {
 	a.Step()
 	if a.Fingerprint() == fp {
 		t.Fatal("fingerprint should change as the simulation advances")
+	}
+}
+
+// everyByClosure is the reference periodic loop: a fresh event, and a fresh
+// closure call to At, every period.
+func everyByClosure(e *Engine, d Time, fn func(now Time) bool) {
+	var tick func(now Time)
+	tick = func(now Time) {
+		if fn(now) {
+			e.At(now+d, tick)
+		}
+	}
+	e.At(e.Now()+d, tick)
+}
+
+// TestEveryMatchesClosureReference runs one mixed script twice, once on
+// Engine.Every and once on the closure-per-period reference, and requires
+// the same firing order and the same Fingerprint after every step. The
+// script puts At events on the loops' instants (scheduled up front, and by a
+// loop for its own next instant), runs two loops in step, stops one loop by
+// returning false, starts one from inside an event, and cancels events.
+func TestEveryMatchesClosureReference(t *testing.T) {
+	type every func(e *Engine, d Time, fn func(now Time) bool)
+	run := func(ev every) (log []string, fps []uint64) {
+		e := NewEngine(1)
+		note := func(what string, now Time) { log = append(log, fmt.Sprintf("%s@%d", what, now)) }
+		for _, at := range []Time{10, 20, 25, 30, 60} {
+			at := at
+			e.At(at, func(now Time) { note("at", now) })
+		}
+		doomed := e.At(40, func(now Time) { note("doomed", now) })
+		ev(e, 10, func(now Time) bool {
+			note("a", now)
+			if now%20 == 0 {
+				// An event at the loop's own next instant: it must fire
+				// before the loop's next firing, as it does when the loop
+				// re-queues through At after fn returns.
+				e.At(now+10, func(at Time) { note("a-next", at) })
+			}
+			e.At(now, func(at Time) { note("a-now", at) })
+			if now == 30 {
+				e.Cancel(doomed)
+			}
+			return true
+		})
+		ev(e, 10, func(now Time) bool { note("b", now); return true })
+		n := 0
+		ev(e, 5, func(now Time) bool {
+			note("c", now)
+			n++
+			return n < 7
+		})
+		e.At(15, func(Time) {
+			ev(e, 15, func(now Time) bool {
+				note("d", now)
+				if now == 45 {
+					x := e.At(60, func(at Time) { note("cancelled", at) })
+					e.Cancel(x)
+				}
+				return now < 75
+			})
+		})
+		fps = append(fps, e.Fingerprint())
+		for e.Now() < 100 && e.Step() {
+			fps = append(fps, e.Fingerprint())
+		}
+		return log, fps
+	}
+	wantLog, wantFP := run(everyByClosure)
+	gotLog, gotFP := run((*Engine).Every)
+	if fmt.Sprint(gotLog) != fmt.Sprint(wantLog) {
+		t.Fatalf("firing order differs from the reference:\n got %v\nwant %v", gotLog, wantLog)
+	}
+	if fmt.Sprint(gotFP) != fmt.Sprint(wantFP) {
+		t.Fatalf("fingerprints differ from the reference:\n got %v\nwant %v", gotFP, wantFP)
+	}
+	if len(wantLog) < 40 {
+		t.Fatalf("script fired only %d events: %v", len(wantLog), wantLog)
+	}
+}
+
+// TestEveryAllocatesNothingPerPeriod: once the queue has grown, a ticking
+// loop re-queues its own event, so a period costs no allocation.
+func TestEveryAllocatesNothingPerPeriod(t *testing.T) {
+	e := NewEngine(1)
+	ticks := 0
+	e.Every(10, func(Time) bool { ticks++; return true })
+	e.Every(7, func(Time) bool { ticks++; return true })
+	e.Run(1000)
+	if got := testing.AllocsPerRun(1000, func() { e.Step() }); got != 0 {
+		t.Fatalf("a period allocates %v times, want 0", got)
+	}
+	if ticks < 1000 {
+		t.Fatalf("only %d ticks fired", ticks)
 	}
 }

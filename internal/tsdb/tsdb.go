@@ -269,15 +269,43 @@ func (db *DB) lookup(name string) (series, bool) {
 	return db.byID(id)
 }
 
-// Append writes one row: row[k] for series ids[k], all at time at. ids must
-// be one whole group, in the order Group (or ID) returned it, and row must
-// be as long; anything else is a bug and panics. The group's ring is made
-// by its first row. Rows must arrive in non-decreasing time order
-// (heartbeat sampling guarantees this); an older row is dropped whole.
-func (db *DB) Append(ids []SeriesID, at sim.Time, row []float64) {
-	g := db.wholeGroup(ids)
-	if len(row) != len(ids) {
-		panic("tsdb: Append row and ids differ in length")
+// Writer is a resolved handle on one group of a DB: DB.Writer checks the
+// group once, so that a caller writing the same group every heartbeat pays
+// no lookup or validation per row. It holds the group's index, not a
+// pointer into db.groups, which a later Group call may move.
+type Writer struct {
+	db *DB
+	g  int
+}
+
+// Writer returns a handle that appends rows to the group ids names. ids
+// must be one whole group, in the order Group (or ID) returned it; anything
+// else is a bug and panics.
+func (db *DB) Writer(ids []SeriesID) Writer {
+	if len(ids) > 0 && uint(ids[0]) < uint(len(db.groupOf)) {
+		gi := int(db.groupOf[ids[0]])
+		g := &db.groups[gi]
+		whole := g.first == ids[0] && g.width == len(ids)
+		for k := 1; whole && k < len(ids); k++ {
+			whole = ids[k] == ids[0]+SeriesID(k)
+		}
+		if whole {
+			return Writer{db: db, g: gi}
+		}
+	}
+	panic("tsdb: ids are not one whole group in order")
+}
+
+// Append writes one row: row[k] for the group's k-th series, all at time
+// at. row must be as long as the group; a shorter or longer one is a bug
+// and panics. The group's ring is made by its first row. Rows must arrive
+// in non-decreasing time order (heartbeat sampling guarantees this); an
+// older row is dropped whole.
+func (w Writer) Append(at sim.Time, row []float64) {
+	db := w.db
+	g := &db.groups[w.g]
+	if len(row) != g.width {
+		panic("tsdb: Append row and group differ in length")
 	}
 	if g.ring == nil {
 		g.ring = newRing(db.capacity, g.width)
@@ -292,20 +320,10 @@ func (db *DB) Append(ids []SeriesID, at sim.Time, row []float64) {
 	}
 }
 
-// wholeGroup returns the group ids names, or panics unless ids is that
-// whole group in order.
-func (db *DB) wholeGroup(ids []SeriesID) *group {
-	if len(ids) > 0 && uint(ids[0]) < uint(len(db.groupOf)) {
-		g := &db.groups[db.groupOf[ids[0]]]
-		whole := g.first == ids[0] && g.width == len(ids)
-		for k := 1; whole && k < len(ids); k++ {
-			whole = ids[k] == ids[0]+SeriesID(k)
-		}
-		if whole {
-			return g
-		}
-	}
-	panic("tsdb: Append ids are not one whole group in order")
+// Append writes one row through the Writer of ids: row[k] for series
+// ids[k], all at time at, under Writer's and Writer.Append's contracts.
+func (db *DB) Append(ids []SeriesID, at sim.Time, row []float64) {
+	db.Writer(ids).Append(at, row)
 }
 
 // Seqs appends onto dst, for each of ids, the number of points its series

@@ -445,10 +445,11 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestGroupRowContract pins what Group and Append accept: Append takes one
-// whole group in order, with a value per series, and nothing else; Group
-// refuses a name already reserved, by either Group or ID, and an empty
-// group. A group's columns appear together, from its first row on.
+// TestGroupRowContract pins what Group, Writer and Append accept: Writer
+// resolves one whole group in order and nothing else, and Append takes a
+// value per series of it; Group refuses a name already reserved, by either
+// Group or ID, and an empty group. A group's columns appear together, from
+// its first row on.
 func TestGroupRowContract(t *testing.T) {
 	db := New(4)
 	abc := db.Group([]string{"a", "b", "c"})
@@ -469,11 +470,11 @@ func TestGroupRowContract(t *testing.T) {
 		{"no ids", nil},
 		{"unknown id", []SeriesID{99}},
 	} {
-		mustPanic(t, "Append of a "+tc.what, func() {
-			db.Append(tc.ids, 1, make([]float64, len(tc.ids)))
-		})
+		mustPanic(t, "Writer of a "+tc.what, func() { db.Writer(tc.ids) })
 	}
-	mustPanic(t, "Append of a short row", func() { db.Append(abc, 1, []float64{1, 2}) })
+	w := db.Writer(abc)
+	mustPanic(t, "Append of a short row", func() { w.Append(1, []float64{1, 2}) })
+	mustPanic(t, "Append of a long row", func() { w.Append(1, []float64{1, 2, 3, 4}) })
 	if names := db.SeriesNames(); len(names) != 0 {
 		t.Fatalf("refused rows created series: %v", names)
 	}
@@ -496,6 +497,41 @@ func TestGroupRowContract(t *testing.T) {
 	db.Append(abc, 0, []float64{1, 2, 3}) // older: the whole row is dropped
 	if got := db.Seqs(nil, abc); fmt.Sprint(got) != "[1 1 1]" {
 		t.Fatalf("Seqs after an out-of-order row = %v, want [1 1 1]", got)
+	}
+}
+
+// TestWriterOutlivesLaterGroups pins that a writer resolved before later
+// Group calls on its DB, which grow and move the DB's group table, still
+// writes its own group's ring, and that every group keeps a ring of its
+// own.
+func TestWriterOutlivesLaterGroups(t *testing.T) {
+	db := New(4)
+	first := db.Writer(db.Group([]string{"a/x", "a/y"}))
+	var later []Writer
+	for g := 0; g < 20; g++ {
+		later = append(later, db.Writer(db.Group([]string{fmt.Sprintf("b%d/x", g), fmt.Sprintf("b%d/y", g)})))
+	}
+	for at := sim.Time(1); at <= 3; at++ {
+		first.Append(at, []float64{float64(at), -float64(at)})
+		for g, w := range later {
+			w.Append(at, []float64{float64(100*g) + float64(at), float64(-100*g) - float64(at)})
+		}
+	}
+	if n := len(db.SeriesNames()); n != 42 {
+		t.Fatalf("SeriesNames lists %d series, want 42", n)
+	}
+	check := func(name string, want []float64) {
+		t.Helper()
+		if got := db.Values(name, 0, 10); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+	}
+	check("a/x", []float64{1, 2, 3})
+	check("a/y", []float64{-1, -2, -3})
+	for g := range later {
+		b := float64(100 * g)
+		check(fmt.Sprintf("b%d/x", g), []float64{b + 1, b + 2, b + 3})
+		check(fmt.Sprintf("b%d/y", g), []float64{-b - 1, -b - 2, -b - 3})
 	}
 }
 
