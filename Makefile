@@ -61,10 +61,19 @@ determinism:
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
 		-state-dir /tmp/kk-state fig9 > /tmp/kk-recovered.txt
 	diff /tmp/kk-plain.txt /tmp/kk-recovered.txt
-	@echo determinism: tables identical with tracing on/off, tables, spans and timeline identical at -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical
+	rm -rf /tmp/kk-harvest-state
+	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 -harvest fig9 > /tmp/kk-harvest-plain.txt
+	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 -harvest \
+		-state-dir /tmp/kk-harvest-state -crash-at 10s fig9 > /dev/null 2>/tmp/kk-harvest-crash-err.txt || true
+	grep -q 'injected crash' /tmp/kk-harvest-crash-err.txt
+	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 -harvest \
+		-state-dir /tmp/kk-harvest-state fig9 > /tmp/kk-harvest-recovered.txt
+	diff /tmp/kk-harvest-plain.txt /tmp/kk-harvest-recovered.txt
+	@echo determinism: tables identical with tracing on/off, tables, spans and timeline identical at -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical with harvest off and on
 
 clean:
 	rm -f /tmp/kk-plain.txt /tmp/kk-traced-p1.txt /tmp/kk-traced-p8.txt \
 		/tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl /tmp/kk-timeline-p1.json /tmp/kk-timeline-p8.json \
-		/tmp/kk-fh1.txt /tmp/kk-fh8.txt /tmp/kk-harvest-off.txt /tmp/kk-crash-err.txt /tmp/kk-recovered.txt
-	rm -rf /tmp/kk-state
+		/tmp/kk-fh1.txt /tmp/kk-fh8.txt /tmp/kk-harvest-off.txt /tmp/kk-crash-err.txt /tmp/kk-recovered.txt \
+		/tmp/kk-harvest-plain.txt /tmp/kk-harvest-crash-err.txt /tmp/kk-harvest-recovered.txt
+	rm -rf /tmp/kk-state /tmp/kk-harvest-state

@@ -123,7 +123,7 @@ func stateVerify(dir string, w io.Writer) error {
 		return err
 	}
 	got := persist.CaptureState(o, hctl)
-	if err := persist.VerifyState(got, snap.State); err != nil {
+	if err := persist.VerifyState(got, snap.EncodedState()); err != nil {
 		return fmt.Errorf("verification FAILED: %w", err)
 	}
 	recs, torn, err := store.LoadWAL()

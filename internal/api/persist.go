@@ -47,7 +47,7 @@ func (s *Server) Recover(m *persist.Manager) (int, error) {
 		// the same commands through today's binary must land on the exact
 		// bytes the snapshot recorded.
 		got := persist.CaptureState(s.orch, s.harvest)
-		if err := persist.VerifyState(got, snap.State); err != nil {
+		if err := persist.VerifyState(got, snap.EncodedState()); err != nil {
 			return replayed, fmt.Errorf("snapshot verification: %w", err)
 		}
 	}

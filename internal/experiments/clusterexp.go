@@ -198,8 +198,8 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 		}
 		switch {
 		case found:
-			want := snap.State
-			eng.At(sim.Time(want.ClockMS), func(sim.Time) {
+			want := snap.EncodedState()
+			eng.At(sim.Time(snap.State.ClockMS), func(sim.Time) {
 				got := persist.CaptureState(o, hctl)
 				if err := persist.VerifyState(got, want); err != nil {
 					panic(fmt.Sprintf("experiments: recovery divergence for %s: %v", pkey, err))

@@ -2,7 +2,6 @@ package harvest
 
 import (
 	"kubeknots/internal/cluster"
-	"kubeknots/internal/forecast"
 	"kubeknots/internal/k8s"
 	"kubeknots/internal/knots"
 	"kubeknots/internal/obs"
@@ -165,14 +164,8 @@ func (c *Controller) tick(now sim.Time) {
 	preemptBudget := c.cfg.MaxPreemptPerTick
 	for i := range snap.Stats {
 		st := &snap.Stats[i]
-		capMB := st.GPU.MemCapMB
-		load := st.Obs.MemUsedMB
-		if pred, ok := forecast.PredictNext(st.MemSeries()); ok {
-			if pred = forecast.Clamp(pred, 0, capMB); pred > load {
-				load = pred
-			}
-		}
-		wm := c.cfg.Watermark * capMB
+		load := scheduler.WatermarkLoad(st)
+		wm := c.cfg.Watermark * st.GPU.MemCapMB
 		over := !st.Stale && load > wm
 
 		c.podBuf = c.o.ResidentPods(st.GPU, c.podBuf[:0])
@@ -256,7 +249,9 @@ func (c *Controller) deharvest(now sim.Time, st *knots.GPUStat, load, wm float64
 }
 
 // admit binds pending harvested pods onto devices with forecast headroom,
-// FIFO over the queue, devices probed in snapshot (node-major) order.
+// FIFO over the queue, devices probed in snapshot (node-major) order. It
+// runs after tick has filled c.states, one per snapshot stat, and reads
+// each device's load from there.
 func (c *Controller) admit(now sim.Time, snap *knots.Snapshot) {
 	// QoS guard: a fresh SLO violation re-arms QoSGuardWindow ticks of
 	// admission back-off; it decays tick by tick so a drained, recovered
@@ -305,7 +300,8 @@ func (c *Controller) admit(now sim.Time, snap *knots.Snapshot) {
 				outcome = obs.RejectAffinity
 				continue
 			}
-			load, ok, out := c.gate.Admit(st, peakSM, reserve, committed[i])
+			load := c.states[i].ForecastMB
+			ok, out := c.gate.Admit(st, load, peakSM, reserve, committed[i])
 			outcome = out
 			if !ok {
 				continue

@@ -1,6 +1,7 @@
 package harvest
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"kubeknots/internal/k8s"
 	"kubeknots/internal/knots"
 	"kubeknots/internal/obs"
+	"kubeknots/internal/scheduler"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/workloads"
 )
@@ -273,5 +275,46 @@ func TestQoSGuardPausesThenReopens(t *testing.T) {
 	}
 	if !guarded {
 		t.Fatal("guard rejection missing from the decision trace")
+	}
+}
+
+// TestNodeStateForecastIsWatermarkLoad: the load a tick publishes as
+// NodeState.ForecastMB, checks against the watermark and hands to the
+// admission gate is scheduler.WatermarkLoad of that tick's snapshot. A
+// check registered after the controller runs right after each of its ticks,
+// before anything can change a device's observation or memory window. A
+// ramping pod makes the AR(1) forecast, not the observation, the load on
+// some ticks.
+func TestNodeStateForecastIsWatermarkLoad(t *testing.T) {
+	o, c := newHarvestOrch(2, Config{Enabled: true, Watermark: 0.15, Headroom: 0.15, Checkpoint: true})
+	o.Submit(0, harvestPod(o, c, steadyProfile("h-batch", 400, 30*sim.Second)))
+	ramp := &workloads.Profile{Name: "ramp", Class: workloads.Batch, RequestMemMB: 3200}
+	for i := 1; i <= 30; i++ {
+		ramp.Phases = append(ramp.Phases, workloads.Phase{Duration: 200 * sim.Millisecond, SMPct: 20, MemMB: float64(100 * i)})
+	}
+	o.Submit(0, o.NewPod(ramp, nil))
+	checked, forecastLed := 0, 0
+	o.Eng.Every(c.Config().Interval, func(now sim.Time) bool {
+		snap := o.Agg.Snapshot(now)
+		states := c.NodeStates()
+		if len(states) != len(snap.Stats) {
+			t.Fatalf("%v: %d node states for %d devices", now, len(states), len(snap.Stats))
+		}
+		for i := range snap.Stats {
+			st := &snap.Stats[i]
+			load := scheduler.WatermarkLoad(st)
+			if states[i].GPU != st.GPU.ID() || math.Float64bits(states[i].ForecastMB) != math.Float64bits(load) {
+				t.Fatalf("%v %s: NodeState.ForecastMB = %v, WatermarkLoad = %v", now, st.GPU.ID(), states[i].ForecastMB, load)
+			}
+			if load > st.Obs.MemUsedMB {
+				forecastLed++
+			}
+			checked++
+		}
+		return true
+	})
+	o.Run(10 * sim.Second)
+	if checked == 0 || forecastLed == 0 {
+		t.Fatalf("checked %d device ticks, %d led by the forecast: the check saw no AR(1) load", checked, forecastLed)
 	}
 }

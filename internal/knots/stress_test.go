@@ -14,16 +14,20 @@ import (
 )
 
 // TestProfilerConcurrentObserveComplete runs many goroutines, each feeding a
-// distinct container of the same image through Observe→Complete, while
-// readers poll Stats and Images. Run under -race. Every completed run must
-// land in the aggregate — no lost runs.
+// distinct container of the same image through Observe→Complete, beside
+// samplers that each sweep a cluster of their own through SampleContainers
+// (the one-lock path the orchestrator takes) and Complete its containers,
+// while readers poll Stats and Images. Run under -race. Every completed run
+// must land in the aggregate — no lost runs.
 func TestProfilerConcurrentObserveComplete(t *testing.T) {
 	const (
-		writers = 8
-		readers = 4
-		runs    = 5
+		writers  = 8
+		samplers = 2
+		readers  = 4
+		runs     = 5
 	)
 	prof := workloads.RodiniaProfile(workloads.KMeans)
+	swept := workloads.RodiniaProfile(workloads.LUD)
 	p := NewProfiler()
 	var wg sync.WaitGroup
 	var stop atomic.Bool
@@ -63,6 +67,38 @@ func TestProfilerConcurrentObserveComplete(t *testing.T) {
 			}
 		}(w)
 	}
+	for w := 0; w < samplers; w++ {
+		ww.Add(1)
+		go func(w int) {
+			defer ww.Done()
+			cfg := cluster.DefaultConfig()
+			cfg.Nodes = 2
+			cl := cluster.New(cfg)
+			for run := 0; run < runs; run++ {
+				var cs []*cluster.Container
+				for i, g := range cl.GPUs() {
+					c := &cluster.Container{
+						ID:    fmt.Sprintf("s%d-%d-%d", w, run, i),
+						Class: swept.Class,
+						Inst:  swept.NewInstance(nil),
+					}
+					if err := g.Place(0, c, swept.RequestMemMB); err != nil {
+						t.Error(err)
+						return
+					}
+					cs = append(cs, c)
+				}
+				// A 10 ms heartbeat: one sweep in ten is due a sample.
+				for s := 0; s < 30; s++ {
+					p.SampleContainers(sim.Time(s)*10*sim.Millisecond, cl)
+				}
+				for _, c := range cs {
+					c.GPU().Remove(c)
+					p.Complete(c)
+				}
+			}
+		}(w)
+	}
 	ww.Wait()
 	stop.Store(true)
 	wg.Wait()
@@ -79,6 +115,10 @@ func TestProfilerConcurrentObserveComplete(t *testing.T) {
 	}
 	if len(st.UpcomingMem) == 0 || st.UpcomingMem[0] != 100 {
 		t.Fatalf("upcoming series wrong: %v", st.UpcomingMem)
+	}
+	sst, ok := p.Stats(swept.Name)
+	if want := samplers * runs * 2; !ok || sst.Runs != want {
+		t.Fatalf("swept runs = %d (ok=%v), want %d", sst.Runs, ok, want)
 	}
 }
 

@@ -123,12 +123,15 @@ func Open(dir string, boot Bootstrap, opts ...ManagerOption) (*Manager, error) {
 
 // Recovery returns the snapshot and WAL tail found at Open, for the caller
 // to replay (snapshot commands first, then the tail). Nil snapshot and an
-// empty tail mean a fresh directory.
+// empty tail mean a fresh directory, or a manager already journaling.
 func (m *Manager) Recovery() (*Snapshot, []Record) { return m.loaded, m.walTail }
 
 // StartJournal opens the WAL for appending — any torn tail is truncated
 // away first, so new records extend the intact prefix. Call after recovery
-// replay has finished; Append before StartJournal is an error.
+// replay has finished; Append before StartJournal is an error. The manager
+// then lets go of the recovery inputs: the command history lives on in the
+// next snapshot's Cmds, and the decoded snapshot state is not kept for the
+// daemon's lifetime.
 func (m *Manager) StartJournal() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -138,6 +141,7 @@ func (m *Manager) StartJournal() error {
 	}
 	m.wal = wal
 	m.journal = true
+	m.loaded, m.walTail = nil, nil
 	return nil
 }
 

@@ -54,7 +54,7 @@ func replayState(t *testing.T, cmds []Record) *State {
 func TestReplayIsDeterministic(t *testing.T) {
 	a := replayState(t, testCommands())
 	b := replayState(t, testCommands())
-	if err := VerifyState(a, b); err != nil {
+	if err := VerifyState(a, EncodeState(b)); err != nil {
 		t.Fatalf("two replays of the same history diverged: %v", err)
 	}
 	if a.ClockMS != int64(17*sim.Second) {
@@ -77,7 +77,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyState(got, st); err != nil {
+	if err := VerifyState(got, EncodeState(st)); err != nil {
 		t.Fatalf("state round-trip diverged: %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("cmd %d round-trip mismatch: %+v vs %+v", i, got.Cmds[i], snap.Cmds[i])
 		}
 	}
-	if err := VerifyState(got.State, snap.State); err != nil {
+	if err := VerifyState(got.State, snap.EncodedState()); err != nil {
 		t.Fatalf("snapshot state diverged: %v", err)
 	}
 }
@@ -457,7 +457,7 @@ func TestManagerSkipsAbsorbedWALRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := VerifyState(CaptureState(o3, hctl3), replayState(t, cmds)); err != nil {
+	if err := VerifyState(CaptureState(o3, hctl3), EncodeState(replayState(t, cmds))); err != nil {
 		t.Fatalf("recovery through the crash window diverged: %v", err)
 	}
 }
@@ -529,7 +529,7 @@ func TestManagerCrashRecoveryByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyState(CaptureState(o2, hctl2), snap.State); err != nil {
+	if err := VerifyState(CaptureState(o2, hctl2), snap.EncodedState()); err != nil {
 		t.Fatalf("snapshot verification: %v", err)
 	}
 	for _, rec := range append(append([]Record(nil), tail...), cmds[4:]...) {
@@ -537,7 +537,7 @@ func TestManagerCrashRecoveryByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := VerifyState(CaptureState(o2, hctl2), want); err != nil {
+	if err := VerifyState(CaptureState(o2, hctl2), EncodeState(want)); err != nil {
 		t.Fatalf("crash-recovery run diverged from uninterrupted run: %v", err)
 	}
 }

@@ -27,6 +27,21 @@ type Snapshot struct {
 	Boot  Bootstrap
 	Cmds  []Record
 	State *State
+
+	// stateBytes is the State section as read from disk; nil for a
+	// snapshot built in memory.
+	stateBytes []byte
+}
+
+// EncodedState returns the snapshot's state in EncodeState form, for
+// VerifyState: the State section's bytes as read from disk for a decoded
+// snapshot (State is their decoding), or EncodeState(State) for one built
+// in memory. A decoded snapshot's bytes do not follow later edits to State.
+func (s *Snapshot) EncodedState() []byte {
+	if s.stateBytes != nil {
+		return s.stateBytes
+	}
+	return EncodeState(s.State)
 }
 
 // EncodeSnapshot serializes a snapshot into the versioned, length-prefixed
@@ -96,7 +111,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			snap.State = st
+			snap.State, snap.stateBytes = st, payload
 			sawState = true
 		case tagCRC:
 			if len(payload) != 4 {

@@ -176,8 +176,11 @@ func CaptureState(o *k8s.Orchestrator, hctl *harvest.Controller) *State {
 
 // EncodeState serializes st into the deterministic binary form: same state
 // in, same bytes out, always.
-func EncodeState(st *State) []byte {
-	w := &writer{}
+func EncodeState(st *State) []byte { return appendState(nil, st) }
+
+// appendState appends st's EncodeState form to buf.
+func appendState(buf []byte, st *State) []byte {
+	w := &writer{buf: buf}
 	w.u8(stateVersion)
 	w.i64(st.ClockMS)
 	w.u64(st.Fingerprint)
@@ -353,13 +356,30 @@ func DecodeState(data []byte) (*State, error) {
 	return st, nil
 }
 
-// VerifyState compares two states byte-for-byte and reports the first
-// divergence with enough context to diagnose it.
-func VerifyState(got, want *State) error {
-	gb, wb := EncodeState(got), EncodeState(want)
-	if bytes.Equal(gb, wb) {
+// VerifyState compares a replayed state with an encoded one (a snapshot's
+// EncodedState) byte for byte, encoding got once into a buffer sized from
+// want. On a mismatch it decodes want and reports the first divergence with
+// enough context to diagnose it.
+func VerifyState(got *State, want []byte) error {
+	gb := appendState(make([]byte, 0, len(want)), got)
+	if bytes.Equal(gb, want) {
 		return nil
 	}
+	if w, err := DecodeState(want); err == nil {
+		if err := diverged(got, w); err != nil {
+			return err
+		}
+	}
+	i := 0
+	for i < len(gb) && i < len(want) && gb[i] == want[i] {
+		i++
+	}
+	return fmt.Errorf("state diverged at byte %d of %d (got %d bytes)", i, len(want), len(gb))
+}
+
+// diverged names the first differing clock, engine fingerprint, pod count or
+// pod of two states, or returns nil when those all agree.
+func diverged(got, want *State) error {
 	if got.ClockMS != want.ClockMS {
 		return fmt.Errorf("clock diverged: got %d ms, want %d ms", got.ClockMS, want.ClockMS)
 	}
@@ -376,9 +396,5 @@ func VerifyState(got, want *State) error {
 				want.Pods[i].Name, got.Pods[i], want.Pods[i])
 		}
 	}
-	i := 0
-	for i < len(gb) && i < len(wb) && gb[i] == wb[i] {
-		i++
-	}
-	return fmt.Errorf("state diverged at byte %d of %d (got %d bytes)", i, len(wb), len(gb))
+	return nil
 }

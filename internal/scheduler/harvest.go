@@ -30,33 +30,41 @@ type HarvestGate struct {
 // Reserve returns the harvested reservation for a pod — CBP's resize policy.
 func (g *HarvestGate) Reserve(p *k8s.Pod) float64 { return g.cbp.ReserveFor(p) }
 
-// Admit evaluates one device for one harvested pod. load is the watermark
-// feed: the larger of the live observation and the AR(1) one-step forecast
-// over the node's memory window, clamped to capacity. committedMB is memory
-// this control tick already committed to the device (the window cannot see
-// pods bound moments ago). The returned outcome is the decision-trace
-// verdict; ok is true only for obs.OutcomeHarvested.
-func (g *HarvestGate) Admit(st *knots.GPUStat, peakSM, reserveMB, committedMB float64) (load float64, ok bool, outcome string) {
-	capMB := st.GPU.MemCapMB
-	load = st.Obs.MemUsedMB
-	if pred, found := forecast.PredictNext(st.MemSeries()); found {
-		if pred = forecast.Clamp(pred, 0, capMB); pred > load {
+// WatermarkLoad is a device's load as the harvest controller sees it: the
+// larger of the live observation and the AR(1) one-step forecast over the
+// node's memory window, clamped to capacity. It is the one definition of
+// the watermark feed: the controller computes it once per device and tick,
+// compares it with the de-harvest watermark, publishes it as the device's
+// forecast, and passes it to Admit for every pod it tries there.
+func WatermarkLoad(st *knots.GPUStat) float64 {
+	load := st.Obs.MemUsedMB
+	if pred, ok := forecast.PredictNext(st.MemSeries()); ok {
+		if pred = forecast.Clamp(pred, 0, st.GPU.MemCapMB); pred > load {
 			load = pred
 		}
 	}
+	return load
+}
+
+// Admit evaluates one device for one harvested pod. load is the device's
+// WatermarkLoad at this tick. committedMB is memory this control tick
+// already committed to the device (the window cannot see pods bound moments
+// ago). The returned outcome is the decision-trace verdict; ok is true only
+// for obs.OutcomeHarvested.
+func (g *HarvestGate) Admit(st *knots.GPUStat, load, peakSM, reserveMB, committedMB float64) (ok bool, outcome string) {
 	switch {
 	case st.Stale:
 		// A silent node's window is rotten: its live load is unknowable, so
 		// opportunistic work never lands there.
-		return load, false, obs.RejectHarvestStale
+		return false, obs.RejectHarvestStale
 	case st.FreeReservableMB-committedMB < reserveMB:
-		return load, false, obs.RejectFreeMem
+		return false, obs.RejectFreeMem
 	case g.SMCeiling > 0 && st.Obs.SMPct+peakSM > g.smCap(st):
-		return load, false, obs.RejectSMCap
-	case load+committedMB+reserveMB > g.Headroom*capMB:
-		return load, false, obs.RejectHarvestHeadroom
+		return false, obs.RejectSMCap
+	case load+committedMB+reserveMB > g.Headroom*st.GPU.MemCapMB:
+		return false, obs.RejectHarvestHeadroom
 	}
-	return load, true, obs.OutcomeHarvested
+	return true, obs.OutcomeHarvested
 }
 
 // smCap returns the SM ceiling for one device. Devices hosting
