@@ -28,9 +28,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -count 3 -benchmem . ./internal/api/ | $(GO) run ./cmd/benchjson > BENCH_baseline.json
 	@echo wrote BENCH_baseline.json
 
-# Byte-identical experiment output with observability enabled vs disabled
-# and across pool widths: the determinism guarantees, checkable locally
-# before CI.
+# Byte-identical experiment output with observability enabled vs disabled,
+# across pool widths and across a crash and restart: the determinism
+# guarantees. The CI determinism job runs this target, so local and CI
+# checks are one list.
 determinism:
 	$(GO) test ./internal/experiments/ -run 'TestTracingDeterminism|TestTracedExportsStable' -count=1
 	$(GO) test ./cmd/kubeknots/ -run 'TestE2EGolden' -count=1
@@ -46,6 +47,7 @@ determinism:
 	diff /tmp/kk-timeline-p1.json /tmp/kk-timeline-p8.json
 	test -s /tmp/kk-spans-p1.jsonl && test -s /tmp/kk-timeline-p1.json
 	$(GO) test ./internal/experiments/ -run TestHarvestDisabledByteIdentical -count=1
+	$(GO) test ./cmd/kubeknots/ -run TestHarvestFlagsInertWhenDisabled -count=1
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
 		-harvest=false -watermark 0.5 -checkpoint-cost 1s fig9 > /tmp/kk-harvest-off.txt
 	diff /tmp/kk-plain.txt /tmp/kk-harvest-off.txt
@@ -69,7 +71,10 @@ determinism:
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 -harvest \
 		-state-dir /tmp/kk-harvest-state fig9 > /tmp/kk-harvest-recovered.txt
 	diff /tmp/kk-harvest-plain.txt /tmp/kk-harvest-recovered.txt
-	@echo determinism: tables identical with tracing on/off, tables, spans and timeline identical at -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical with harvest off and on
+	$(GO) test ./internal/api/ -run TestServerRecovery -count=1
+	$(GO) test ./internal/persist/ -count=1
+	$(GO) test ./cmd/knotsctl/ -run TestState -count=1
+	@echo determinism: tables identical with tracing on/off, tables, spans and timeline identical at -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical with harvest off and on, durable apiserver recovery and state tools verified
 
 clean:
 	rm -f /tmp/kk-plain.txt /tmp/kk-traced-p1.txt /tmp/kk-traced-p8.txt \

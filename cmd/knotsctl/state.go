@@ -56,7 +56,7 @@ func stateInspect(dir string, w io.Writer) error {
 	if recs, torn, err := store.LoadWAL(); err != nil {
 		fmt.Fprintf(w, "wal: CORRUPT: %v\n", err)
 		found = true
-	} else if recs != nil || fileExists(filepath.Join(dir, "wal.kkw")) {
+	} else if recs != nil || fileExists(store.WALPath()) {
 		found = true
 		state := "clean"
 		if torn {
@@ -100,129 +100,102 @@ func printSnapshot(w io.Writer, label string, snap *persist.Snapshot) {
 		len(snap.State.Events), len(snap.State.Series))
 }
 
-// stateVerify replays the snapshot's command history through a fresh
-// control plane and byte-compares the result against the recorded state —
-// the same determinism check recovery performs, runnable offline.
-func stateVerify(dir string, w io.Writer) error {
+// recovery is an apiserver state dir recovered offline: its manager, the
+// replayed control plane, and the command counts of the snapshot and of the
+// whole replay.
+type recovery struct {
+	mgr      *persist.Manager
+	o        *k8s.Orchestrator
+	hctl     *harvest.Controller
+	snapCmds int
+	replayed int
+}
+
+// recoverDir recovers dir exactly as the daemon does: persist.Open refuses
+// a foreign bootstrap or a WAL gap and skips records the snapshot already
+// absorbed, and Manager.Replay re-executes the snapshot's commands,
+// byte-verifies the result against the snapshot's state and applies the
+// WAL tail. It writes nothing to dir.
+func recoverDir(dir, verb string) (*recovery, error) {
 	store, err := persist.OpenStore(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	snap, err := store.LoadSnapshot()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if snap == nil {
-		return fmt.Errorf("no snapshot in %s", dir)
+		return nil, fmt.Errorf("no snapshot in %s", dir)
 	}
 	if snap.Boot.Kind != "apiserver" {
-		return fmt.Errorf("verify supports apiserver state (this dir is %q); its snapshot has no replayable command history", snap.Boot.Kind)
+		return nil, fmt.Errorf("%s supports apiserver state (this dir is %q); its snapshot has no replayable command history", verb, snap.Boot.Kind)
 	}
-	o, hctl, err := replaySnapshot(snap)
+	sched, err := experiments.SchedulerByName(snap.Boot.Scheduler)
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := persist.Open(dir, snap.Boot)
+	if err != nil {
+		return nil, err
+	}
+	o, hctl, err := persist.Rebuild(snap.Boot, sched)
+	if err != nil {
+		return nil, err
+	}
+	n, err := mgr.Replay(o, hctl, nil)
+	if err != nil {
+		return nil, fmt.Errorf("verification FAILED: %w", err)
+	}
+	return &recovery{mgr: mgr, o: o, hctl: hctl, snapCmds: len(snap.Cmds), replayed: n}, nil
+}
+
+// stateVerify recovers the dir the way the daemon would — the same
+// determinism check recovery performs, runnable offline — without writing
+// to it.
+func stateVerify(dir string, w io.Writer) error {
+	r, err := recoverDir(dir, "verify")
 	if err != nil {
 		return err
 	}
-	got := persist.CaptureState(o, hctl)
-	if err := persist.VerifyState(got, snap.EncodedState()); err != nil {
-		return fmt.Errorf("verification FAILED: %w", err)
-	}
-	recs, torn, err := store.LoadWAL()
-	if err != nil {
-		return err
-	}
-	applied, skipped := 0, 0
-	for _, rec := range recs {
-		// Records the snapshot already absorbed (crash between snapshot
-		// rename and WAL reset) are identified by sequence number and
-		// must not be re-applied.
-		if rec.Seq <= uint64(len(snap.Cmds)) {
-			skipped++
-			continue
-		}
-		if _, err := persist.ApplyRecord(o, rec); err != nil {
-			return fmt.Errorf("wal record seq %d does not apply: %w", rec.Seq, err)
-		}
-		applied++
-	}
+	st := r.mgr.StatsSnapshot()
 	tail := ""
-	if torn {
+	if st.RecoveredTorn {
 		tail = " (torn tail dropped)"
 	}
-	if skipped > 0 {
-		tail += fmt.Sprintf(" (%d already absorbed by the snapshot)", skipped)
+	if st.RecoveredSkipped > 0 {
+		tail += fmt.Sprintf(" (%d already absorbed by the snapshot)", st.RecoveredSkipped)
 	}
 	fmt.Fprintf(w, "verified: %d snapshot commands byte-identical, %d wal records apply%s\n",
-		len(snap.Cmds), applied, tail)
+		r.snapCmds, r.replayed-r.snapCmds, tail)
 	return nil
 }
 
-// stateCompact folds the WAL tail into the snapshot: replay everything,
-// write one fresh snapshot holding the full history, then truncate the WAL.
-// The next recovery replays from the snapshot alone.
+// stateCompact folds the WAL tail into the snapshot: recover as the daemon
+// does, then journal and write one fresh snapshot holding the full history,
+// which resets the WAL. The next recovery replays from the snapshot alone.
+// A dir that fails recovery is left untouched.
 func stateCompact(dir string, w io.Writer) error {
-	store, err := persist.OpenStore(dir)
+	r, err := recoverDir(dir, "compact")
 	if err != nil {
 		return err
 	}
-	snap, err := store.LoadSnapshot()
-	if err != nil {
-		return err
-	}
-	if snap == nil {
-		return fmt.Errorf("no snapshot in %s", dir)
-	}
-	if snap.Boot.Kind != "apiserver" {
-		return fmt.Errorf("compact supports apiserver state (this dir is %q)", snap.Boot.Kind)
-	}
-	tail, torn, err := store.LoadWAL()
-	if err != nil {
-		return err
-	}
-	if torn {
+	if r.mgr.StatsSnapshot().RecoveredTorn {
 		fmt.Fprintln(w, "warning: dropping torn wal tail")
 	}
-	// Fold only records past the snapshot's absorbed count — a stale WAL
-	// left by a crash between snapshot rename and reset would otherwise
-	// double its commands into the compacted history.
-	cmds := append([]persist.Record(nil), snap.Cmds...)
-	folded := 0
-	for _, rec := range tail {
-		if rec.Seq <= uint64(len(snap.Cmds)) {
-			continue
-		}
-		cmds = append(cmds, rec)
-		folded++
-	}
-	full := &persist.Snapshot{Boot: snap.Boot, Cmds: cmds}
-	o, hctl, err := replaySnapshot(full)
-	if err != nil {
+	if err := r.mgr.StartJournal(); err != nil {
 		return err
 	}
-	full.State = persist.CaptureState(o, hctl)
-	if _, err := store.WriteSnapshot(full); err != nil {
+	if err := r.mgr.WriteSnapshot(persist.CaptureState(r.o, r.hctl)); err != nil {
+		r.mgr.Close()
 		return err
 	}
-	wal, err := store.AppendWAL(1, uint64(len(full.Cmds)))
-	if err != nil {
-		return err
-	}
-	defer wal.Close()
-	if err := wal.Reset(); err != nil {
+	if err := r.mgr.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "compacted: snapshot now holds %d commands (folded %d wal records), wal reset\n",
-		len(full.Cmds), folded)
+		r.replayed, r.replayed-r.snapCmds)
 	return nil
-}
-
-// replaySnapshot rebuilds a control plane from an apiserver snapshot's
-// bootstrap and runs its command history forward.
-func replaySnapshot(snap *persist.Snapshot) (*k8s.Orchestrator, *harvest.Controller, error) {
-	sched, err := experiments.SchedulerByName(snap.Boot.Scheduler)
-	if err != nil {
-		return nil, nil, err
-	}
-	return persist.Replay(snap.Boot, sched, snap.Cmds)
 }
 
 func fileExists(path string) bool {

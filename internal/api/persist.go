@@ -3,17 +3,15 @@ package api
 import (
 	"fmt"
 
+	"kubeknots/internal/k8s"
 	"kubeknots/internal/persist"
 )
 
 // Recover attaches a persistence manager and replays its journal into the
-// freshly-constructed server: first the snapshot's command history, then
-// the WAL tail that accumulated after it. The orchestrator must be in its
-// just-built state (same Bootstrap the manager was opened with, nothing
-// submitted, clock at zero) — recovery re-executes every journaled command
-// and then byte-verifies the rebuilt state against the snapshot's, so any
-// divergence (a code change that altered simulation behaviour, a corrupted
-// journal) fails loudly here instead of silently forking history.
+// freshly-constructed server through persist.Manager.Replay: the snapshot's
+// command history, a byte-verify against the snapshot's state, then the WAL
+// tail. The orchestrator must be in its just-built state (same Bootstrap
+// the manager was opened with, nothing submitted, clock at zero).
 //
 // On success the manager starts journaling and the server owns it; Close
 // the server (or the manager) on shutdown. Returns the number of commands
@@ -24,37 +22,10 @@ func (s *Server) Recover(m *persist.Manager) (int, error) {
 	if s.persist != nil {
 		return 0, fmt.Errorf("api: persistence already attached")
 	}
-	snap, tail := m.Recovery()
-	replayed := 0
-	apply := func(recs []persist.Record) error {
-		for _, rec := range recs {
-			pod, err := persist.ApplyRecord(s.orch, rec)
-			if err != nil {
-				return fmt.Errorf("replay command %d: %w", replayed+1, err)
-			}
-			if pod != nil {
-				s.pods[pod.Name] = pod
-			}
-			replayed++
-		}
-		return nil
-	}
-	if snap != nil {
-		if err := apply(snap.Cmds); err != nil {
-			return replayed, err
-		}
-		// The snapshot's state section is the determinism check: replaying
-		// the same commands through today's binary must land on the exact
-		// bytes the snapshot recorded.
-		got := persist.CaptureState(s.orch, s.harvest)
-		if err := persist.VerifyState(got, snap.EncodedState()); err != nil {
-			return replayed, fmt.Errorf("snapshot verification: %w", err)
-		}
-	}
-	if err := apply(tail); err != nil {
+	replayed, err := m.Replay(s.orch, s.harvest, func(pod *k8s.Pod) { s.pods[pod.Name] = pod })
+	if err != nil {
 		return replayed, err
 	}
-	persist.ReplayedMetric(replayed)
 	if err := m.StartJournal(); err != nil {
 		return replayed, fmt.Errorf("api: start journal: %w", err)
 	}

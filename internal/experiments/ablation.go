@@ -158,17 +158,13 @@ func AblationLearnedProfiles(cfg ClusterConfig) *Table {
 		Title:  "Static vs online-learned provisioning under PP (App-Mix-2)",
 		Header: []string{"mode", "util-p50", "qos/kilo", "crashes"},
 	}
-	// The static run and the profiler warm-up are independent and run in
-	// parallel; the learned run depends on the warm profiler and follows.
-	first := runClusterGrid([]clusterPoint{
-		{Key: "ablation-learned/static", Sched: &scheduler.PP{}, Mix: mix, Cfg: cfg},
-		{Key: "ablation-learned/warmup", Sched: &scheduler.PP{}, Mix: mix, Cfg: cfg},
-	})
-	o, warm := first[0], first[1]
+	// The static run warms the profiler the learned run then schedules by.
+	cfg.RunKey = "ablation-learned/static"
+	o := RunCluster(&scheduler.PP{}, mix, cfg)
 	ps := o.ClusterUtilPercentiles()
 	t.AddRow("static-profiles", f1(ps[0]), f1(o.QoS.PerKilo()),
 		fmt.Sprintf("%d", o.CrashEvents))
-	learned := &scheduler.PP{CBP: scheduler.CBP{Learned: warm.Profiler}}
+	learned := &scheduler.PP{CBP: scheduler.CBP{Learned: o.Profiler}}
 	cfg.RunKey = "ablation-learned/learned"
 	o2 := RunCluster(learned, mix, cfg)
 	ps2 := o2.ClusterUtilPercentiles()

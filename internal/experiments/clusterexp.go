@@ -175,9 +175,10 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 		if tracer != nil {
 			hctl.SetDecisionTracer(tracer)
 		}
-		// Registration order fixes same-timestamp ordering: the controller
-		// starts after the orchestrator so each harvest tick observes the
-		// scheduling round that shares its timestamp.
+		// The controller starts after the orchestrator. Even so, each harvest
+		// tick runs before the scheduling round that shares its timestamp:
+		// sim.Engine.Every queues the 100 ms harvest event for t at
+		// t − 100 ms, ahead of the orchestrator's, queued at t − 10 ms.
 		if !o.Started() {
 			o.Start()
 		}

@@ -46,7 +46,8 @@ type Counters struct {
 
 // Controller is the harvest/de-harvest control loop over one orchestrator.
 // Construct with New, attach an optional decision tracer, then Start after
-// the orchestrator so same-timestamp ticks run after scheduling rounds.
+// the orchestrator. At an instant both loops share, the harvest tick runs
+// before the scheduling round and sees the previous round (see Start).
 type Controller struct {
 	o      *k8s.Orchestrator
 	cfg    Config
@@ -103,9 +104,12 @@ func (c *Controller) SetDecisionTracer(t obs.Tracer) {
 func (c *Controller) Config() Config { return c.cfg }
 
 // Start registers the control loop on the orchestrator's engine. Call after
-// Orchestrator.Start: event registration order decides same-timestamp
-// ordering, and harvest decisions must see the scheduler's round, not
-// precede it.
+// Orchestrator.Start. Registration order does not decide which loop runs
+// first at an instant both share: sim.Engine.Every queues a loop's event
+// for t when the loop fires at t − period, so the harvest event for t,
+// queued at t − Interval, runs ahead of the orchestrator's, queued at
+// t − Tick. A harvest tick therefore sees the previous scheduling round,
+// not the one that shares its timestamp. The goldens depend on this order.
 func (c *Controller) Start() {
 	c.o.Eng.Every(c.cfg.Interval, func(now sim.Time) bool {
 		c.tick(now)

@@ -318,3 +318,30 @@ func TestNodeStateForecastIsWatermarkLoad(t *testing.T) {
 		t.Fatalf("checked %d device ticks, %d led by the forecast: the check saw no AR(1) load", checked, forecastLed)
 	}
 }
+
+// TestHarvestTickPrecedesSchedulingRound pins the same-instant order of the
+// two control loops. sim.Engine.Every queues a loop's event for instant t
+// when the loop fires at t − period, so the 100 ms harvest event for t is
+// queued at t − 100 ms, ahead of the orchestrator's, queued at t − 10 ms:
+// at every shared instant the harvest tick runs first and sees the
+// previous scheduling round. Changing that order moves the goldens.
+func TestHarvestTickPrecedesSchedulingRound(t *testing.T) {
+	o, c := newHarvestOrch(1, Config{Enabled: true})
+	h := harvestPod(o, c, steadyProfile("h-batch", 400, 30*sim.Second))
+	s := o.NewPod(steadyProfile("batch", 400, 30*sim.Second), nil)
+	o.Submit(0, h)
+	o.SubmitAt(95*sim.Millisecond, s)
+	shared := c.Config().Interval
+	for o.Eng.Now() <= shared && o.Eng.Step() {
+		hUp, sUp := h.Phase == k8s.PodRunning, s.Phase == k8s.PodRunning
+		if !hUp && !sUp {
+			continue
+		}
+		if now := o.Eng.Now(); now != shared || !hUp || sUp {
+			t.Fatalf("at %v: harvested pod running %v, scheduled pod running %v; want the harvest tick at %v to bind first",
+				now, hUp, sUp, shared)
+		}
+		return
+	}
+	t.Fatalf("neither pod bound by %v", shared)
+}

@@ -60,23 +60,21 @@ func eqSnapshots(t *testing.T, label string, want, got *Snapshot) {
 // arenas and lazy windows warm and reused) against a throwaway fresh
 // aggregator at every step of a scenario that changes every snapshot input:
 // sampling, partial sampling (down nodes), bindings between heartbeats, GPU
-// failures and restores, stale and dead liveness transitions, window decay
-// at unsampled times, and a config change. Every snapshot builds each live
-// node once and skips dead ones.
+// failures and restores, stale and dead liveness transitions, and window
+// decay at unsampled times. Every snapshot builds each live node once and
+// skips dead ones.
 func TestIncrementalSnapshotMatchesFresh(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 6
 	cfg.GPUsPerNode = 2
 	cl := cluster.New(cfg)
 	mon := NewMonitor(cl, 0)
-	live := &Aggregator{Monitor: mon, Window: DefaultWindow, MaxPoints: DefaultMaxPoints,
-		StaleAfter: 300 * sim.Millisecond, DeadAfter: 900 * sim.Millisecond}
+	live := &Aggregator{Monitor: mon, StaleAfter: 300 * sim.Millisecond, DeadAfter: 900 * sim.Millisecond}
 
 	sawDead := false
 	check := func(label string, now sim.Time) {
 		t.Helper()
-		fresh := &Aggregator{Monitor: mon, Window: live.Window, MaxPoints: live.MaxPoints,
-			StaleAfter: live.StaleAfter, DeadAfter: live.DeadAfter}
+		fresh := &Aggregator{Monitor: mon, StaleAfter: live.StaleAfter, DeadAfter: live.DeadAfter}
 		want := fresh.Snapshot(now)
 		built0 := live.NodeRebuilds()
 		got := live.Snapshot(now)
@@ -118,8 +116,6 @@ func TestIncrementalSnapshotMatchesFresh(t *testing.T) {
 			mon.SetNodeDown(2, false) // back from the dead
 		case 24:
 			gpus[5].Remove(gpus[5].Containers()[0]) // unbinding
-		case 28:
-			live.MaxPoints = 16 // config change applies from the next snapshot
 		}
 		mon.Sample(now)
 		check("after-sample", now)

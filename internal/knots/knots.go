@@ -241,7 +241,7 @@ func (mw *memWindow) series() []float64 {
 	if a != nil && mw.gen != a.gen {
 		m := a.Monitor
 		m.mu.RLock()
-		a.pts = m.dbs[mw.node].DownsampleInto(a.pts[:0], mw.id, mw.bound, a.at-a.w, a.at, a.bucket)
+		a.pts = m.dbs[mw.node].DownsampleInto(a.pts[:0], mw.id, mw.bound, a.at-DefaultWindow, a.at, DefaultWindow/DefaultMaxPoints)
 		m.mu.RUnlock()
 		start := len(a.vals)
 		for _, p := range a.pts {
@@ -266,17 +266,6 @@ type Snapshot struct {
 // Aggregator is the head-node utilization aggregator.
 type Aggregator struct {
 	Monitor *Monitor
-	// Window is the sliding query window (the paper uses five seconds).
-	// An orchestrator's monitor sizes its rings with RingCapacity, which
-	// covers DefaultWindow and no more: a longer window reads past them.
-	Window sim.Time
-	// MaxPoints sets the snapshot series resolution (default 64) by
-	// mean-downsampling the window into buckets of Window/MaxPoints — the
-	// paper's "sliding window consists of few data points", which also keeps
-	// per-round scheduling cost flat. The bucket width truncates, so a series
-	// can hold a few more points than MaxPoints: a full 5 s window in 78 ms
-	// buckets (5000/64) at a 10 ms heartbeat yields 65.
-	MaxPoints int
 	// StaleAfter, when positive, marks a node's stats Stale once its last
 	// heartbeat is older than this (degraded-mode scheduling input).
 	StaleAfter sim.Time
@@ -305,12 +294,12 @@ type Aggregator struct {
 	pts   []tsdb.Point
 
 	// mem holds one lazily built memory window per device, by position in
-	// Cluster.GPUs(). gen numbers snapshots, and at, w and bucket are the
-	// current one's window: a memWindow built under an older gen is rebuilt
-	// on its next read.
-	mem           []memWindow
-	gen           uint64
-	at, w, bucket sim.Time
+	// Cluster.GPUs(). gen numbers snapshots, and at is the current one's
+	// instant: a memWindow built under an older gen is rebuilt on its next
+	// read.
+	mem []memWindow
+	gen uint64
+	at  sim.Time
 
 	// met holds the aggregator's cells in cells, made by NewAggregator or,
 	// for an aggregator built as a literal, by its first Snapshot.
@@ -318,7 +307,9 @@ type Aggregator struct {
 	met   *aggMetrics
 }
 
-// DefaultWindow is the paper's five-second scheduling window.
+// DefaultWindow is the sliding query window of every snapshot: the paper's
+// five-second scheduling window. An orchestrator's monitor sizes its rings
+// with RingCapacity, which covers this window and no more.
 const DefaultWindow = 5 * sim.Second
 
 // RingCapacity is the per-series ring size for a monitor sampled every
@@ -334,12 +325,17 @@ func RingCapacity(heartbeat sim.Time) int {
 	return int(2*DefaultWindow/heartbeat) + 2
 }
 
-// DefaultMaxPoints is the default snapshot series length.
+// DefaultMaxPoints sets the snapshot series resolution by mean-downsampling
+// the window into buckets of DefaultWindow/DefaultMaxPoints — the paper's
+// "sliding window consists of few data points", which also keeps per-round
+// scheduling cost flat. The bucket width truncates, so a series can hold a
+// few more points: a full 5 s window in 78 ms buckets (5000/64) at a 10 ms
+// heartbeat yields 65.
 const DefaultMaxPoints = 64
 
 // NewAggregator wraps a monitor with the default window.
 func NewAggregator(m *Monitor) *Aggregator {
-	a := &Aggregator{Monitor: m, Window: DefaultWindow, MaxPoints: DefaultMaxPoints}
+	a := &Aggregator{Monitor: m}
 	a.met = newAggMetrics(&a.cells)
 	return a
 }
@@ -369,14 +365,6 @@ func (a *Aggregator) age(node int, now sim.Time) sim.Time {
 // copy. This keeps the per-heartbeat aggregation allocation-free once the
 // arenas are warm.
 func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
-	w := a.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
-	maxPts := a.MaxPoints
-	if maxPts <= 0 {
-		maxPts = DefaultMaxPoints
-	}
 	a.stats = a.stats[:0]
 	a.conts = a.conts[:0]
 	a.dead = a.dead[:0]
@@ -394,7 +382,7 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		}
 	}
 	a.gen++
-	a.at, a.w, a.bucket = now, w, w/sim.Time(maxPts)
+	a.at = now
 	a.vals = a.vals[:0]
 	// One read lock covers the whole walk: every node's age, last
 	// observations and append counts come from the same monitor state.

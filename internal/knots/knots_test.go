@@ -92,8 +92,9 @@ func TestAggregatorSnapshot(t *testing.T) {
 }
 
 // TestSnapshotSeriesLength pins the downsampled window length: the bucket
-// width Window/MaxPoints truncates (5000/64 = 78 ms), so a full five-second
-// window at a 10 ms heartbeat spans 65 buckets, one more than MaxPoints.
+// width DefaultWindow/DefaultMaxPoints truncates (5000/64 = 78 ms), so a
+// full five-second window at a 10 ms heartbeat spans 65 buckets, one more
+// than DefaultMaxPoints.
 func TestSnapshotSeriesLength(t *testing.T) {
 	cl := testCluster()
 	m := NewMonitor(cl, 0)
@@ -104,8 +105,8 @@ func TestSnapshotSeriesLength(t *testing.T) {
 		m.Sample(now)
 	}
 	snap := a.Snapshot(end)
-	if a.Window/sim.Time(a.MaxPoints) != 78*sim.Millisecond {
-		t.Fatalf("bucket = %v, want 78ms", a.Window/sim.Time(a.MaxPoints))
+	if DefaultWindow/DefaultMaxPoints != 78*sim.Millisecond {
+		t.Fatalf("bucket = %v, want 78ms", DefaultWindow/DefaultMaxPoints)
 	}
 	for _, st := range snap.Stats {
 		if got := len(st.MemSeries()); got != 65 {

@@ -1,9 +1,14 @@
 // Package obs is the repository's zero-dependency observability layer:
-// a Prometheus-style metrics registry (counters, gauges, fixed-bucket
-// histograms, with labels and text-format exposition), a pluggable decision
-// tracer that audits every scheduler placement step as JSONL, and a Chrome
-// trace_event timeline exporter so a whole simulated run opens in
-// chrome://tracing or Perfetto.
+//   - a Prometheus-style metrics registry (counters, gauges, fixed-bucket
+//     histograms, with labels and text-format exposition), plus per-run
+//     Cells that a simulation writes without locks and folds into the
+//     registry once per Orchestrator.Run;
+//   - decision records: a Tracer collects each scheduler and harvest
+//     verdict with every candidate it weighed, and k8s.BuildSpans turns
+//     them into a run's spans;
+//   - span export: a Collector gathers each run's spans (package span) and
+//     writes them as merged JSONL or as a Chrome trace_event timeline that
+//     opens in chrome://tracing or Perfetto.
 //
 // Everything here is deliberately determinism-safe: instruments only
 // *observe* — they never read the simulated clock's RNG, never feed values

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"kubeknots/internal/scheduler"
 )
 
 // FuzzSnapshotRoundTrip feeds arbitrary bytes into DecodeSnapshot. Whatever
@@ -21,11 +19,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add(empty)
 	cmds := testCommands()
-	o, hctl, err := Replay(testBoot(), &scheduler.PP{}, cmds)
-	if err != nil {
-		f.Fatal(err)
-	}
-	full, err := EncodeSnapshot(&Snapshot{Boot: testBoot(), Cmds: cmds, State: CaptureState(o, hctl)})
+	full, err := EncodeSnapshot(&Snapshot{Boot: testBoot(), Cmds: cmds, State: CaptureState(replayCmds(f, cmds))})
 	if err != nil {
 		f.Fatal(err)
 	}

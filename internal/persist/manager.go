@@ -3,6 +3,9 @@ package persist
 import (
 	"fmt"
 	"sync"
+
+	"kubeknots/internal/harvest"
+	"kubeknots/internal/k8s"
 )
 
 // ManagerOption configures a Manager.
@@ -23,8 +26,8 @@ func WithSyncEvery(n int) ManagerOption {
 // found at open (last snapshot + WAL tail), journals every accepted command,
 // and rotates the WAL into a fresh snapshot on the configured cadence.
 //
-// Lifecycle: Open → Recovery (replay by the caller) → StartJournal →
-// Append per command, WriteSnapshot when SnapshotDue → Close.
+// Lifecycle: Open → Replay → StartJournal → Append per command,
+// WriteSnapshot when SnapshotDue → Close.
 type Manager struct {
 	mu            sync.Mutex
 	store         *Store
@@ -121,21 +124,58 @@ func Open(dir string, boot Bootstrap, opts ...ManagerOption) (*Manager, error) {
 	return m, nil
 }
 
-// Recovery returns the snapshot and WAL tail found at Open, for the caller
-// to replay (snapshot commands first, then the tail). Nil snapshot and an
-// empty tail mean a fresh directory, or a manager already journaling.
-func (m *Manager) Recovery() (*Snapshot, []Record) { return m.loaded, m.walTail }
+// Replay re-executes the recovery inputs found at Open on a control plane
+// freshly rebuilt from the same Bootstrap: the snapshot's commands, then a
+// byte-for-byte check of the replayed state against the snapshot's, then
+// the WAL tail. A divergence (a code change that altered simulation
+// behaviour, a snapshot whose state does not match its history) fails here
+// instead of silently forking history. onSubmit, when non-nil, sees every
+// pod a replayed submit creates. It returns the number of commands applied;
+// on success they count toward persist_recovery_replayed_total. A fresh
+// directory, or a manager already journaling, replays nothing.
+func (m *Manager) Replay(o *k8s.Orchestrator, hctl *harvest.Controller, onSubmit func(*k8s.Pod)) (int, error) {
+	m.mu.Lock()
+	snap, tail := m.loaded, m.walTail
+	m.mu.Unlock()
+	replayed := 0
+	apply := func(recs []Record) error {
+		for _, rec := range recs {
+			pod, err := ApplyRecord(o, rec)
+			if err != nil {
+				return fmt.Errorf("replay command %d: %w", replayed+1, err)
+			}
+			if pod != nil && onSubmit != nil {
+				onSubmit(pod)
+			}
+			replayed++
+		}
+		return nil
+	}
+	if snap != nil {
+		if err := apply(snap.Cmds); err != nil {
+			return replayed, err
+		}
+		if err := VerifyState(CaptureState(o, hctl), snap.EncodedState()); err != nil {
+			return replayed, fmt.Errorf("snapshot verification: %w", err)
+		}
+	}
+	if err := apply(tail); err != nil {
+		return replayed, err
+	}
+	mRecovered.Add(float64(replayed))
+	return replayed, nil
+}
 
 // StartJournal opens the WAL for appending — any torn tail is truncated
-// away first, so new records extend the intact prefix. Call after recovery
-// replay has finished; Append before StartJournal is an error. The manager
-// then lets go of the recovery inputs: the command history lives on in the
-// next snapshot's Cmds, and the decoded snapshot state is not kept for the
-// daemon's lifetime.
+// away first, so new records extend the intact prefix. Call after Replay;
+// Append before StartJournal is an error. The manager then lets go of the
+// recovery inputs: the command history lives on in the next snapshot's
+// Cmds, and the decoded snapshot state is not kept for the daemon's
+// lifetime.
 func (m *Manager) StartJournal() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	wal, err := m.store.AppendWAL(m.syncEvery, uint64(len(m.cmds)))
+	wal, err := m.store.appendWAL(m.syncEvery, uint64(len(m.cmds)))
 	if err != nil {
 		return err
 	}
@@ -179,7 +219,7 @@ func (m *Manager) SnapshotDue() bool {
 func (m *Manager) WriteSnapshot(st *State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, err := m.store.WriteSnapshot(&Snapshot{
+	n, err := m.store.writeSnapshot(&Snapshot{
 		Boot:  m.boot,
 		Cmds:  append([]Record(nil), m.cmds...),
 		State: st,

@@ -15,7 +15,9 @@
 // offline without replaying anything.
 //
 // The WAL holds the commands accepted since the last snapshot; recovery is
-// load snapshot → replay its commands → verify → replay the WAL tail. A
+// load snapshot → replay its commands → verify → replay the WAL tail, all
+// through one Manager: Open reads and checks the inputs, Replay re-executes
+// them. The daemon and `knotsctl state verify|compact` share that path. A
 // torn final record (crash mid-write) is detected by its CRC and dropped.
 package persist
 

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"kubeknots/internal/harvest"
+	"kubeknots/internal/k8s"
 	"kubeknots/internal/scheduler"
 	"kubeknots/internal/sim"
 )
@@ -42,13 +44,24 @@ func testCommands() []Record {
 	}
 }
 
+// replayCmds rebuilds testBoot's control plane and applies cmds to it.
+func replayCmds(tb testing.TB, cmds []Record) (*k8s.Orchestrator, *harvest.Controller) {
+	tb.Helper()
+	o, hctl, err := Rebuild(testBoot(), &scheduler.PP{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, rec := range cmds {
+		if _, err := ApplyRecord(o, rec); err != nil {
+			tb.Fatalf("command %d/%d: %v", i+1, len(cmds), err)
+		}
+	}
+	return o, hctl
+}
+
 func replayState(t *testing.T, cmds []Record) *State {
 	t.Helper()
-	o, hctl, err := Replay(testBoot(), &scheduler.PP{}, cmds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return CaptureState(o, hctl)
+	return CaptureState(replayCmds(t, cmds))
 }
 
 func TestReplayIsDeterministic(t *testing.T) {
@@ -336,8 +349,8 @@ func TestManagerTornTailRecoveryKeepsLaterAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, tail := m2.Recovery(); len(tail) != 2 {
-		t.Fatalf("recovered %d records from torn WAL, want 2", len(tail))
+	if len(m2.walTail) != 2 {
+		t.Fatalf("recovered %d records from torn WAL, want 2", len(m2.walTail))
 	}
 	if !m2.StatsSnapshot().RecoveredTorn {
 		t.Fatal("torn tail not reported")
@@ -360,7 +373,7 @@ func TestManagerTornTailRecoveryKeepsLaterAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tail := m3.Recovery()
+	tail := m3.walTail
 	if len(tail) != 4 {
 		t.Fatalf("recovered %d records, want 4 — acknowledged mutations lost after torn-tail recovery", len(tail))
 	}
@@ -418,12 +431,11 @@ func TestManagerSkipsAbsorbedWALRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, tail := m2.Recovery()
-	if snap == nil || len(snap.Cmds) != 4 {
+	if snap := m2.loaded; snap == nil || len(snap.Cmds) != 4 {
 		t.Fatalf("recovered snapshot: %+v", snap)
 	}
-	if len(tail) != 0 {
-		t.Fatalf("recovered tail has %d records, want 0 — snapshot-absorbed commands would replay twice", len(tail))
+	if len(m2.walTail) != 0 {
+		t.Fatalf("recovered tail has %d records, want 0 — snapshot-absorbed commands would replay twice", len(m2.walTail))
 	}
 	if got := m2.StatsSnapshot().RecoveredSkipped; got != 4 {
 		t.Fatalf("RecoveredSkipped = %d, want 4", got)
@@ -443,14 +455,13 @@ func TestManagerSkipsAbsorbedWALRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap3, tail3 := m3.Recovery()
-	if len(snap3.Cmds) != 4 || len(tail3) != 1 || tail3[0].Seq != 5 {
+	if snap3, tail3 := m3.loaded, m3.walTail; len(snap3.Cmds) != 4 || len(tail3) != 1 || tail3[0].Seq != 5 {
 		t.Fatalf("third incarnation: snap=%d tail=%+v", len(snap3.Cmds), tail3)
 	}
 	// The recovered history must equal the uninterrupted one.
-	o3, hctl3, err := Replay(testBoot(), &scheduler.PP{}, append(append([]Record(nil), snap3.Cmds...), tail3...))
-	if err != nil {
-		t.Fatal(err)
+	o3, hctl3 := replayCmds(t, nil)
+	if n, err := m3.Replay(o3, hctl3, nil); err != nil || n != 5 {
+		t.Fatalf("Replay = %d, %v; want 5 commands", n, err)
 	}
 	for _, rec := range cmds[5:] {
 		if _, err := ApplyRecord(o3, rec); err != nil {
@@ -518,21 +529,17 @@ func TestManagerCrashRecoveryByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, tail := m2.Recovery()
-	if snap == nil || len(snap.Cmds) != 3 {
+	if snap := m2.loaded; snap == nil || len(snap.Cmds) != 3 {
 		t.Fatalf("recovered snapshot: %+v", snap)
 	}
-	if len(tail) != 1 {
-		t.Fatalf("recovered WAL tail: %d records, want 1", len(tail))
+	if len(m2.walTail) != 1 {
+		t.Fatalf("recovered WAL tail: %d records, want 1", len(m2.walTail))
 	}
-	o2, hctl2, err := Replay(testBoot(), &scheduler.PP{}, snap.Cmds)
-	if err != nil {
-		t.Fatal(err)
+	o2, hctl2 := replayCmds(t, nil)
+	if n, err := m2.Replay(o2, hctl2, nil); err != nil || n != 4 {
+		t.Fatalf("Replay = %d, %v; want 4 commands", n, err)
 	}
-	if err := VerifyState(CaptureState(o2, hctl2), snap.EncodedState()); err != nil {
-		t.Fatalf("snapshot verification: %v", err)
-	}
-	for _, rec := range append(append([]Record(nil), tail...), cmds[4:]...) {
+	for _, rec := range cmds[4:] {
 		if _, err := ApplyRecord(o2, rec); err != nil {
 			t.Fatal(err)
 		}

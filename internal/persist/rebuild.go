@@ -70,22 +70,3 @@ func ApplyRecord(o *k8s.Orchestrator, rec Record) (*k8s.Pod, error) {
 		return nil, fmt.Errorf("persist: replay: unknown record type %d", rec.Type)
 	}
 }
-
-// Replay rebuilds a control plane from boot and re-executes cmds. Used by
-// `knotsctl state verify|compact` for offline verification.
-func Replay(boot Bootstrap, sched k8s.Scheduler, cmds []Record) (*k8s.Orchestrator, *harvest.Controller, error) {
-	orch, hctl, err := Rebuild(boot, sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, rec := range cmds {
-		if _, err := ApplyRecord(orch, rec); err != nil {
-			return nil, nil, fmt.Errorf("command %d/%d: %w", i+1, len(cmds), err)
-		}
-	}
-	return orch, hctl, nil
-}
-
-// ReplayedMetric adds n to the recovery counter; exported so the API server
-// can account its own replay.
-func ReplayedMetric(n int) { mRecovered.Add(float64(n)) }

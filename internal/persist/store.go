@@ -31,9 +31,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // SnapshotPath returns the daemon snapshot file path.
 func (s *Store) SnapshotPath() string { return filepath.Join(s.dir, snapshotFile) }
 
@@ -45,9 +42,9 @@ func (s *Store) LoadSnapshot() (*Snapshot, error) {
 	return loadSnapshotFile(s.SnapshotPath())
 }
 
-// WriteSnapshot atomically replaces the daemon snapshot (write to a temp
+// writeSnapshot atomically replaces the daemon snapshot (write to a temp
 // file, fsync, rename) and returns the encoded size.
-func (s *Store) WriteSnapshot(snap *Snapshot) (int, error) {
+func (s *Store) writeSnapshot(snap *Snapshot) (int, error) {
 	start := time.Now()
 	n, err := writeSnapshotFile(s.SnapshotPath(), snap)
 	if err != nil {
@@ -73,10 +70,10 @@ func (s *Store) LoadWAL() ([]Record, bool, error) {
 	return DecodeWAL(data)
 }
 
-// AppendWAL opens the daemon WAL for appending, truncating any torn tail
+// appendWAL opens the daemon WAL for appending, truncating any torn tail
 // back to the intact prefix first. baseSeq seeds the sequence counter when
 // the log is empty or fully absorbed — pass the recovered command count.
-func (s *Store) AppendWAL(syncEvery int, baseSeq uint64) (*WAL, error) {
+func (s *Store) appendWAL(syncEvery int, baseSeq uint64) (*WAL, error) {
 	return openWAL(s.WALPath(), syncEvery, baseSeq)
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"kubeknots/internal/k8s"
 )
 
 // referenceVerify is VerifyState as it was before it compared against
@@ -49,7 +51,7 @@ func TestVerifyStateAgainstSectionBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.WriteSnapshot(&Snapshot{Boot: testBoot(), Cmds: cmds, State: replayState(t, cmds)}); err != nil {
+	if _, err := store.writeSnapshot(&Snapshot{Boot: testBoot(), Cmds: cmds, State: replayState(t, cmds)}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := store.LoadSnapshot()
@@ -129,7 +131,7 @@ func TestRecoveryReleasedAfterStartJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, tail := m2.Recovery()
+	snap, tail := m2.loaded, m2.walTail
 	if snap == nil || len(snap.Cmds) != 4 || len(tail) != len(cmds)-4 {
 		t.Fatalf("before StartJournal: snapshot %v, %d tail records; want 4 snapshot commands and %d tail records",
 			snap != nil, len(tail), len(cmds)-4)
@@ -137,7 +139,7 @@ func TestRecoveryReleasedAfterStartJournal(t *testing.T) {
 	if err := m2.StartJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if snap, tail := m2.Recovery(); snap != nil || tail != nil {
+	if snap, tail := m2.loaded, m2.walTail; snap != nil || tail != nil {
 		t.Fatalf("after StartJournal the manager still holds a snapshot (%v) or %d tail records", snap != nil, len(tail))
 	}
 	if err := m2.WriteSnapshot(replayState(t, cmds)); err != nil {
@@ -151,13 +153,77 @@ func TestRecoveryReleasedAfterStartJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap3, tail3 := m3.Recovery()
+	snap3, tail3 := m3.loaded, m3.walTail
 	if snap3 == nil || len(snap3.Cmds) != len(cmds) || len(tail3) != 0 {
 		t.Fatalf("next recovery: snapshot %v, %d tail records; want all %d commands in the snapshot", snap3 != nil, len(tail3), len(cmds))
 	}
 	for i := range cmds {
 		if snap3.Cmds[i].Type != cmds[i].Type || snap3.Cmds[i].MS != cmds[i].MS || !bytes.Equal(snap3.Cmds[i].Manifest, cmds[i].Manifest) {
 			t.Fatalf("command %d = %+v, want %+v", i, snap3.Cmds[i], cmds[i])
+		}
+	}
+}
+
+// TestReplayVerifiesBeforeTail: Replay hands every replayed pod to onSubmit
+// and stops at a snapshot whose state its commands do not reproduce,
+// before the WAL tail and before the replay counter moves.
+func TestReplayVerifiesBeforeTail(t *testing.T) {
+	cmds := testCommands()
+	for _, diverge := range []bool{false, true} {
+		dir := t.TempDir()
+		m1, err := Open(dir, testBoot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m1.StartJournal(); err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range cmds {
+			if err := m1.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if i == 3 {
+				st := replayState(t, cmds[:4])
+				if diverge {
+					st.ClockMS++
+				}
+				if err := m1.WriteSnapshot(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := m1.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		m2, err := Open(dir, testBoot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, hctl := replayCmds(t, nil)
+		var pods []string
+		before := mRecovered.Value()
+		n, err := m2.Replay(o, hctl, func(p *k8s.Pod) { pods = append(pods, p.Name) })
+		if diverge {
+			if err == nil || !strings.HasPrefix(err.Error(), "snapshot verification: clock diverged") || n != 4 {
+				t.Fatalf("divergent snapshot: Replay = %d, %v; want a clock divergence after 4 commands", n, err)
+			}
+			if got := mRecovered.Value() - before; got != 0 {
+				t.Fatalf("a failed replay counted %v commands", got)
+			}
+			continue
+		}
+		if err != nil || n != len(cmds) {
+			t.Fatalf("Replay = %d, %v; want %d commands", n, err, len(cmds))
+		}
+		if got := mRecovered.Value() - before; got != float64(len(cmds)) {
+			t.Fatalf("persist_recovery_replayed_total rose by %v, want %d", got, len(cmds))
+		}
+		if want := "batch-1 lc-1 batch-2 lc-2"; strings.Join(pods, " ") != want {
+			t.Fatalf("onSubmit saw %q, want %q", pods, want)
+		}
+		if err := VerifyState(CaptureState(o, hctl), EncodeState(replayState(t, cmds))); err != nil {
+			t.Fatalf("replayed state: %v", err)
 		}
 	}
 }
