@@ -18,6 +18,17 @@ type e2eRun struct {
 	spans    []byte // -spans-out causal pod-lifecycle span JSONL
 }
 
+// runCLI executes kubeknots with args through the real CLI path and
+// returns its stdout.
+func runCLI(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
 // runE2E executes the pinned end-to-end scenario — seed 3, three simulated
 // seconds, fig9 and fig10a with span and timeline exports — through the
 // real CLI path. Seed 3 is chosen so the pending queue drains within the
@@ -29,18 +40,14 @@ func runE2E(t *testing.T) e2eRun {
 	tmp := t.TempDir()
 	timelinePath := filepath.Join(tmp, "timeline.json")
 	spansPath := filepath.Join(tmp, "spans.jsonl")
-	var stdout, stderr bytes.Buffer
-	args := []string{
+	tables := runCLI(t,
 		"-parallel", "1",
 		"-seed", "3",
 		"-horizon", "3s",
 		"-timeline-out", timelinePath,
 		"-spans-out", spansPath,
 		"fig9", "fig10a",
-	}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, stderr:\n%s", code, stderr.String())
-	}
+	)
 	readFile := func(path string) []byte {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -48,15 +55,31 @@ func runE2E(t *testing.T) e2eRun {
 		}
 		return data
 	}
-	return e2eRun{tables: stdout.Bytes(), timeline: readFile(timelinePath), spans: readFile(spansPath)}
+	return e2eRun{tables: tables, timeline: readFile(timelinePath), spans: readFile(spansPath)}
+}
+
+// runMoreTables executes the second pinned scenario, tables only: the
+// chaos relaunch path, the DL policies behind table4 and fig12, and the
+// CBP/PP latency-critical margin in the ablations, none of which the
+// three-second fig9/fig10a scenario reaches.
+func runMoreTables(t *testing.T) []byte {
+	t.Helper()
+	return runCLI(t,
+		"-parallel", "1",
+		"-seed", "3",
+		"-horizon", "2m",
+		"-dlscale", "small",
+		"chaos", "table4", "fig12a", "fig12b", "ablations",
+	)
 }
 
 // goldenFiles maps artifact names to their committed golden paths.
-func goldenFiles(r e2eRun) map[string][]byte {
+func goldenFiles(r e2eRun, moreTables []byte) map[string][]byte {
 	return map[string][]byte{
-		filepath.Join("testdata", "e2e_tables.golden.txt"):    r.tables,
-		filepath.Join("testdata", "e2e_timeline.golden.json"): r.timeline,
-		filepath.Join("testdata", "e2e_spans.golden.jsonl"):   r.spans,
+		filepath.Join("testdata", "e2e_tables.golden.txt"):      r.tables,
+		filepath.Join("testdata", "e2e_timeline.golden.json"):   r.timeline,
+		filepath.Join("testdata", "e2e_spans.golden.jsonl"):     r.spans,
+		filepath.Join("testdata", "e2e_more_tables.golden.txt"): moreTables,
 	}
 }
 
@@ -88,12 +111,11 @@ func firstDiff(want, got []byte) string {
 	return fmt.Sprintf("first divergence at byte %d:\n want …%q…\n  got …%q…", i, clip(want), clip(got))
 }
 
-// TestE2EGolden compares the pinned scenario's key artifacts byte-for-byte
+// TestE2EGolden compares the pinned scenarios' key artifacts byte-for-byte
 // against the committed golden files. Run with -update to regenerate them
 // after an intentional behaviour change.
 func TestE2EGolden(t *testing.T) {
-	r := runE2E(t)
-	files := goldenFiles(r)
+	files := goldenFiles(runE2E(t), runMoreTables(t))
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
