@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench determinism clean
+.PHONY: all build test race vet bench determinism loc clean
 
 all: build test
 
@@ -75,6 +75,12 @@ determinism:
 	$(GO) test ./internal/persist/ -count=1
 	$(GO) test ./cmd/knotsctl/ -run TestState -count=1
 	@echo determinism: tables identical with tracing on/off, tables, spans and timeline identical at -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical with harvest off and on, durable apiserver recovery and state tools verified
+
+# Go line counts outside perfbench/ (its own module), non-test and test, as
+# tracked in ROADMAP.md.
+loc:
+	@printf 'non-test Go lines: '; git ls-files -z -- '*.go' ':!:*_test.go' ':!:perfbench/' | xargs -0 cat | wc -l
+	@printf 'test Go lines:     '; git ls-files -z -- '*_test.go' ':!:perfbench/' | xargs -0 cat | wc -l
 
 clean:
 	rm -f /tmp/kk-plain.txt /tmp/kk-traced-p1.txt /tmp/kk-traced-p8.txt \

@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	c := api.NewClient(*server,
-		api.WithTimeout(api.DefaultTimeout),
 		api.WithRetries(2),
 		api.WithUserAgent("knotsctl/"+buildinfo.Get().Version))
 	var err error

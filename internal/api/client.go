@@ -40,16 +40,8 @@ type Client struct {
 // Option configures a Client at construction.
 type Option func(*Client)
 
-// WithTimeout bounds every call at d instead of DefaultTimeout. Ignored if
-// WithHTTPClient also supplies a client.
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		c.HTTP = &http.Client{Timeout: d}
-	}
-}
-
 // WithHTTPClient supplies the underlying *http.Client (custom transport,
-// instrumentation). Overrides WithTimeout.
+// instrumentation, a timeout other than DefaultTimeout).
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) { c.HTTP = h }
 }

@@ -381,7 +381,7 @@ func TestClientUserAgentAndCompatibility(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, WithUserAgent("knotsctl/test"), WithTimeout(DefaultTimeout))
+	c := NewClient(srv.URL, WithUserAgent("knotsctl/test"))
 	if _, err := c.Pods(); err != nil {
 		t.Fatal(err)
 	}

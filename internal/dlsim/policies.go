@@ -63,17 +63,19 @@ func (ResAgPolicy) ServeDLI(now sim.Time, s *State, q *DLIQuery) sim.Time {
 	return wait + q.Service
 }
 
+// Gandiva's migration pass: a packing refinement every gandivaMigrateEvery,
+// each costing the moved job a gandivaMigratePause suspend-resume.
+const (
+	gandivaMigrateEvery = 60 * sim.Second
+	gandivaMigratePause = 4 * sim.Second
+)
+
 // GandivaPolicy emulates Gandiva's introspective time-slicing: up to two
 // training jobs share a device regardless of utilization, and a periodic
 // trial-and-error migration pass pauses a running job for several seconds.
 // Inference needs an idle device; otherwise a migration is triggered to make
 // room, costing seconds.
 type GandivaPolicy struct {
-	// MigrateEvery is the packing-refinement period (default 60 s).
-	MigrateEvery sim.Time
-	// MigratePause is the suspend-resume cost of a migration (default 4 s).
-	MigratePause sim.Time
-
 	lastMigrate sim.Time
 	migrateIdx  int
 }
@@ -121,20 +123,12 @@ func (g *GandivaPolicy) PlaceDLT(now sim.Time, s *State) {
 
 	// Trial-and-error packing: periodically pause a running job to migrate
 	// it to a (possibly) better device set.
-	every := g.MigrateEvery
-	if every <= 0 {
-		every = 60 * sim.Second
-	}
-	pause := g.MigratePause
-	if pause <= 0 {
-		pause = 4 * sim.Second
-	}
-	if now-g.lastMigrate >= every && len(s.Running) > 0 {
+	if now-g.lastMigrate >= gandivaMigrateEvery && len(s.Running) > 0 {
 		g.lastMigrate = now
 		j := s.Running[g.migrateIdx%len(s.Running)]
 		g.migrateIdx++
-		j.pausedUntil = now + pause
-		j.lastStart = now + pause // phase restarts after the move
+		j.pausedUntil = now + gandivaMigratePause
+		j.lastStart = now + gandivaMigratePause // phase restarts after the move
 	}
 }
 
@@ -155,6 +149,22 @@ func (g *GandivaPolicy) ServeDLI(now sim.Time, s *State, q *DLIQuery) sim.Time {
 	return roundWait + 2*q.Service
 }
 
+// Tiresias' timing. table4 and fig12 are calibrated against these values.
+const (
+	// tiresiasEvalEvery is the preemption re-evaluation period.
+	tiresiasEvalEvery = 30 * sim.Second
+	// tiresiasPreemptPause is the suspend-resume cost of a preemption.
+	tiresiasPreemptPause = 2 * sim.Second
+	// tiresiasDLIWindow is how long a preempted device stays
+	// inference-dedicated.
+	tiresiasDLIWindow = 60 * sim.Second
+	// tiresiasCtxSwitch is the inference-triggered context-switch latency.
+	tiresiasCtxSwitch = 120 * sim.Millisecond
+	// tiresiasPromoteThreshold is the attained-service boundary between
+	// the high-priority and demoted queues.
+	tiresiasPromoteThreshold = 10 * sim.Minute
+)
+
 // TiresiasPolicy emulates Tiresias' discretized two-queue least-attained-
 // service discipline: jobs with little attained GPU service sit in the
 // high-priority queue and may preempt (suspend/resume, progress preserved)
@@ -164,51 +174,16 @@ func (g *GandivaPolicy) ServeDLI(now sim.Time, s *State, q *DLIQuery) sim.Time {
 // that device for a short inference window so bursts amortize one
 // preemption.
 type TiresiasPolicy struct {
-	// EvalEvery is the preemption re-evaluation period (default 30 s).
-	EvalEvery sim.Time
-	// PreemptPause is the suspend-resume cost (default 3 s).
-	PreemptPause sim.Time
-	// DLIWindow is how long a preempted device stays inference-dedicated
-	// (default 10 s).
-	DLIWindow sim.Time
-	// CtxSwitch is the inference-triggered context-switch latency
-	// (default 400 ms).
-	CtxSwitch sim.Time
-	// PromoteThreshold is the attained-service boundary between the
-	// high-priority and demoted queues (default 10 min).
-	PromoteThreshold sim.Time
-
 	lastEval sim.Time
 }
 
 // Name implements Policy.
 func (*TiresiasPolicy) Name() string { return "Tiresias" }
 
-func (t *TiresiasPolicy) defaults() (eval, pause, win, ctx, thresh sim.Time) {
-	eval, pause, win, ctx, thresh = t.EvalEvery, t.PreemptPause, t.DLIWindow, t.CtxSwitch, t.PromoteThreshold
-	if eval <= 0 {
-		eval = 30 * sim.Second
-	}
-	if pause <= 0 {
-		pause = 2 * sim.Second
-	}
-	if win <= 0 {
-		win = 60 * sim.Second
-	}
-	if ctx <= 0 {
-		ctx = 120 * sim.Millisecond
-	}
-	if thresh <= 0 {
-		thresh = 10 * sim.Minute
-	}
-	return
-}
-
 // PlaceDLT implements Policy.
 func (t *TiresiasPolicy) PlaceDLT(now sim.Time, s *State) {
-	evalEvery, pause, _, _, thresh := t.defaults()
 	t.fillIdle(now, s)
-	if now-t.lastEval < evalEvery && t.lastEval > 0 {
+	if now-t.lastEval < tiresiasEvalEvery && t.lastEval > 0 {
 		return
 	}
 	t.lastEval = now
@@ -222,7 +197,7 @@ func (t *TiresiasPolicy) PlaceDLT(now sim.Time, s *State) {
 		if now < j.pausedUntil {
 			continue
 		}
-		if j.attained < thresh && now-j.waitingSince > 3*sim.Minute {
+		if j.attained < tiresiasPromoteThreshold && now-j.waitingSince > 3*sim.Minute {
 			young = append(young, j)
 			continue
 		}
@@ -244,7 +219,7 @@ func (t *TiresiasPolicy) PlaceDLT(now sim.Time, s *State) {
 		const immunity = 20 * sim.Minute
 		var victims []*DLTJob
 		for _, r := range s.Running {
-			if r.gpus != nil && r.attained >= thresh &&
+			if r.gpus != nil && r.attained >= tiresiasPromoteThreshold &&
 				(r.lastPreempt == 0 || now-r.lastPreempt > immunity) {
 				victims = append(victims, r)
 			}
@@ -268,7 +243,7 @@ func (t *TiresiasPolicy) PlaceDLT(now sim.Time, s *State) {
 			continue
 		}
 		for _, v := range chosen {
-			s.preempt(now, v, pause)
+			s.preempt(now, v, tiresiasPreemptPause)
 		}
 		picks := s.freeGPUs(now)[:j.NGPUs]
 		s.removePending(j)
@@ -319,7 +294,6 @@ func (t *TiresiasPolicy) fillIdle(now sim.Time, s *State) {
 
 // ServeDLI implements Policy.
 func (t *TiresiasPolicy) ServeDLI(now sim.Time, s *State, q *DLIQuery) sim.Time {
-	_, pause, win, ctx, _ := t.defaults()
 	for _, gi := range s.freeGPUs(now) {
 		if s.GPUs[gi].dliBusyMS+float64(q.Service/sim.Millisecond) <= 1000 {
 			return serveOnDevice(s, gi, q, 0)
@@ -349,42 +323,33 @@ func (t *TiresiasPolicy) ServeDLI(now sim.Time, s *State, q *DLIQuery) sim.Time 
 	if victim == nil {
 		// Brief time-slice on a busy device: the context switch plus halved
 		// throughput for the query's duration.
-		return ctx + 2*q.Service
+		return tiresiasCtxSwitch + 2*q.Service
 	}
 	gi := victim.gpus[0]
-	s.preempt(now, victim, pause)
-	s.GPUs[gi].dliReserved = now + win
-	return serveOnDevice(s, gi, q, ctx)
+	s.preempt(now, victim, tiresiasPreemptPause)
+	s.GPUs[gi].dliReserved = now + tiresiasDLIWindow
+	return serveOnDevice(s, gi, q, tiresiasCtxSwitch)
 }
+
+// Kube-Knots' DL tuning.
+const (
+	// kkMaxSM is the combined SM-demand ceiling for pairing training jobs.
+	kkMaxSM = 105
+	// kkLCStretch inflates inference service under co-location.
+	kkLCStretch = 1.15
+)
 
 // KubeKnotsPolicy is CBP+PP in the DL setting: FCFS gang admission that
 // space-shares devices between SM-compatible training jobs with
 // peak-staggered memory (no crashes), and inference that co-locates
 // instantly on harvested memory with only a contention stretch.
-type KubeKnotsPolicy struct {
-	// MaxSM is the combined SM-demand ceiling for pairing (default 105).
-	MaxSM float64
-	// LCStretch inflates inference service under co-location (default 1.15).
-	LCStretch float64
-}
+type KubeKnotsPolicy struct{}
 
 // Name implements Policy.
 func (*KubeKnotsPolicy) Name() string { return "CBP+PP" }
 
-func (k *KubeKnotsPolicy) defaults() (maxSM, stretch float64) {
-	maxSM, stretch = k.MaxSM, k.LCStretch
-	if maxSM <= 0 {
-		maxSM = 105
-	}
-	if stretch <= 0 {
-		stretch = 1.15
-	}
-	return
-}
-
 // PlaceDLT implements Policy.
 func (k *KubeKnotsPolicy) PlaceDLT(now sim.Time, s *State) {
-	maxSM, _ := k.defaults()
 	var rest []*DLTJob
 	for _, j := range s.Pending {
 		if now < j.pausedUntil {
@@ -416,7 +381,7 @@ func (k *KubeKnotsPolicy) PlaceDLT(now sim.Time, s *State) {
 					smSum += r.SMPct
 					peakSum += r.MemPeakMB
 				}
-				if smSum+j.SMPct <= maxSM && peakSum+j.MemPeakMB <= s.Cfg.GPUMemMB {
+				if smSum+j.SMPct <= kkMaxSM && peakSum+j.MemPeakMB <= s.Cfg.GPUMemMB {
 					picks = append(picks, gi)
 				}
 			}
@@ -432,7 +397,6 @@ func (k *KubeKnotsPolicy) PlaceDLT(now sim.Time, s *State) {
 
 // ServeDLI implements Policy.
 func (k *KubeKnotsPolicy) ServeDLI(now sim.Time, s *State, q *DLIQuery) sim.Time {
-	_, stretch := k.defaults()
 	// Idle device first: native speed.
 	for _, gi := range s.freeGPUs(now) {
 		if s.GPUs[gi].dliBusyMS+float64(q.Service/sim.Millisecond) <= 1000 {
@@ -460,7 +424,7 @@ func (k *KubeKnotsPolicy) ServeDLI(now sim.Time, s *State, q *DLIQuery) sim.Time
 		}
 	}
 	if best >= 0 {
-		stretched := sim.Time(float64(q.Service) * stretch)
+		stretched := sim.Time(float64(q.Service) * kkLCStretch)
 		qs := *q
 		qs.Service = stretched
 		return serveOnDevice(s, best, &qs, 0)

@@ -90,15 +90,20 @@ func TestGandivaMigrationPausesJobs(t *testing.T) {
 	s := microState(2)
 	j := microJob(0, 1, 80, sim.Hour)
 	s.Pending = []*DLTJob{j}
-	g := GandivaPolicy{MigrateEvery: 10 * sim.Second, MigratePause: 5 * sim.Second}
+	var g GandivaPolicy
 	g.PlaceDLT(0, s)
 	if j.gpus == nil {
 		t.Fatal("job should start")
 	}
-	// Advance past the migration period: the running job gets paused.
-	g.PlaceDLT(15*sim.Second, s)
-	if j.pausedUntil != 20*sim.Second {
-		t.Fatalf("pausedUntil = %v, want 20s", j.pausedUntil)
+	// Inside the migration period nothing moves.
+	g.PlaceDLT(gandivaMigrateEvery-sim.Second, s)
+	if j.pausedUntil != 0 {
+		t.Fatalf("pausedUntil = %v before the migration period", j.pausedUntil)
+	}
+	// At the period the running job is paused for the migration cost.
+	g.PlaceDLT(gandivaMigrateEvery, s)
+	if want := gandivaMigrateEvery + gandivaMigratePause; j.pausedUntil != want {
+		t.Fatalf("pausedUntil = %v, want %v", j.pausedUntil, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kubeknots/internal/chaos"
+	"kubeknots/internal/k8s"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/workloads"
 )
@@ -71,7 +72,7 @@ func ChaosTable(s Spec) *Table {
 			cfg := s.Cluster
 			hb := cfg.Heartbeat
 			if hb <= 0 {
-				hb = 10 * sim.Millisecond
+				hb = k8s.Tick
 			}
 			cfg.StaleAfter = 10 * hb
 			cfg.DeadAfter = 50 * hb

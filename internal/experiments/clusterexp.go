@@ -16,15 +16,19 @@ import (
 	"kubeknots/internal/workloads"
 )
 
+// Base inter-arrival times of a cluster run's load generator, before the
+// app-mix's arrival-rate scale.
+const (
+	lcMeanIA = 400 * sim.Millisecond // latency-critical queries
+	batchIA  = 12 * sim.Second       // batch jobs
+)
+
 // ClusterConfig parameterizes a ten-node cluster run.
 type ClusterConfig struct {
-	Nodes      int      // default 10 (the paper's testbed)
-	Horizon    sim.Time // default 5 min of simulated load
-	Seed       int64    // default 1
-	LCMeanIA   sim.Time // base latency-critical inter-arrival (default 400 ms)
-	BatchIA    sim.Time // base batch inter-arrival (default 12 s)
-	Heartbeat  sim.Time // monitor sampling period (default 10 ms)
-	SchedEvery sim.Time // scheduling period (default 10 ms)
+	Nodes     int      // default 10 (the paper's testbed)
+	Horizon   sim.Time // default 5 min of simulated load
+	Seed      int64    // default 1
+	Heartbeat sim.Time // monitor sampling period (default k8s.Tick)
 	// MemCapMB overrides per-GPU memory (0 = the P100's 16 GB); the resize
 	// ablation uses small devices so reservations actually bind.
 	MemCapMB float64
@@ -74,18 +78,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.LCMeanIA <= 0 {
-		c.LCMeanIA = 400 * sim.Millisecond
-	}
-	if c.BatchIA <= 0 {
-		c.BatchIA = 12 * sim.Second
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 10 * sim.Millisecond
-	}
-	if c.SchedEvery <= 0 {
-		c.SchedEvery = 10 * sim.Millisecond
 	}
 	return c
 }
@@ -141,9 +133,7 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 	}
 	cl := cluster.New(ccfg)
 	kcfg := k8s.Config{
-		Tick:        10 * sim.Millisecond,
 		Heartbeat:   cfg.Heartbeat,
-		SchedEvery:  cfg.SchedEvery,
 		StaleAfter:  cfg.StaleAfter,
 		DeadAfter:   cfg.DeadAfter,
 		MaxRestarts: cfg.MaxRestarts,
@@ -178,7 +168,7 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 		// The controller starts after the orchestrator. Even so, each harvest
 		// tick runs before the scheduling round that shares its timestamp:
 		// sim.Engine.Every queues the 100 ms harvest event for t at
-		// t − 100 ms, ahead of the orchestrator's, queued at t − 10 ms.
+		// t − 100 ms, ahead of the orchestrator's, queued at t − k8s.Tick.
 		if !o.Started() {
 			o.Start()
 		}
@@ -224,7 +214,7 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 	// Latency-critical queries. TensorFlow runs with incremental memory
 	// growth (Section V-B), so requests reflect real footprints with a
 	// safety margin rather than the Fig. 4 earmark.
-	for _, at := range trace.ArrivalProcess(rng, cfg.Horizon, cfg.LCMeanIA, scale) {
+	for _, at := range trace.ArrivalProcess(rng, cfg.Horizon, lcMeanIA, scale) {
 		model := mix.LC[rng.Intn(len(mix.LC))]
 		batch := 1 << rng.Intn(2) // 1 or 2 queries per request: serving favors latency over batching
 		prof := workloads.Inference(model).QueryProfile(batch, false)
@@ -235,7 +225,7 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 		o.SubmitAt(at, p)
 	}
 	// Batch jobs — best-effort harvest candidates when the controller runs.
-	for _, at := range trace.ArrivalProcess(rng, cfg.Horizon, cfg.BatchIA, scale) {
+	for _, at := range trace.ArrivalProcess(rng, cfg.Horizon, batchIA, scale) {
 		name := mix.Batch[rng.Intn(len(mix.Batch))]
 		p := o.NewPod(workloads.RodiniaProfile(name), rng)
 		if hctl != nil {
@@ -250,7 +240,7 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 	o.Run(cfg.Horizon)
 	run := &ClusterRun{Orchestrator: o, EnergyHorizonJ: cl.TotalEnergyJ(), Injector: inj, Harvest: hctl}
 	o.Run(cfg.Horizon + 2*sim.Minute)
-	keep := int(cfg.Horizon / o.Cfg.UtilSampleEvery)
+	keep := int(cfg.Horizon / k8s.UtilSampleEvery)
 	for i := range o.NodeUtil {
 		if len(o.NodeUtil[i]) > keep {
 			o.NodeUtil[i] = o.NodeUtil[i][:keep]

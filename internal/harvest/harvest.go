@@ -108,7 +108,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // first at an instant both share: sim.Engine.Every queues a loop's event
 // for t when the loop fires at t − period, so the harvest event for t,
 // queued at t − Interval, runs ahead of the orchestrator's, queued at
-// t − Tick. A harvest tick therefore sees the previous scheduling round,
+// t − k8s.Tick. A harvest tick therefore sees the previous scheduling round,
 // not the one that shares its timestamp. The goldens depend on this order.
 func (c *Controller) Start() {
 	c.o.Eng.Every(c.cfg.Interval, func(now sim.Time) bool {

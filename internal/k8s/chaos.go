@@ -144,11 +144,6 @@ func (o *Orchestrator) drain(now sim.Time, evicted []*cluster.Container, why, wh
 			o.Events.Record(Event{At: now, Type: EventDrained, Pod: p.Name,
 				Node: where, Detail: why})
 		}
-		pod := p
-		o.Eng.After(o.Cfg.RelaunchDelay, func(at sim.Time) {
-			pod.Phase = PodPending
-			o.pending = append(o.pending, pod)
-			o.Events.Record(Event{At: at, Type: EventRelaunch, Pod: pod.Name})
-		})
+		o.Eng.After(RelaunchDelay, func(at sim.Time) { o.requeue(at, p) })
 	}
 }

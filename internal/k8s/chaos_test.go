@@ -62,19 +62,47 @@ func TestCrashLoopCapEvicts(t *testing.T) {
 	}
 }
 
-func TestCrashBackoffDelaysRelaunch(t *testing.T) {
-	o := NewOrchestrator(sim.NewEngine(1), cluster.New(cluster.Config{Nodes: 1}),
-		greedy{}, Config{RelaunchDelay: sim.Second, BackoffFactor: 2, MaxRelaunchDelay: 5 * sim.Second})
-	want := []sim.Time{sim.Second, 2 * sim.Second, 4 * sim.Second, 5 * sim.Second, 5 * sim.Second}
-	for i, w := range want {
-		if got := o.relaunchDelay(i + 1); got != w {
-			t.Fatalf("relaunchDelay(%d) = %v, want %v", i+1, got, w)
-		}
+func TestCrashRelaunchWaitsRelaunchDelay(t *testing.T) {
+	// Three pods whose peaks collide on one device crash-loop. Every
+	// crash, the first and a repeat alike, must log its relaunch exactly
+	// RelaunchDelay later: the delay is fixed, never backed off.
+	eng := sim.NewEngine(3)
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 1
+	cfg.MemCapMB = 2200
+	o := NewOrchestrator(eng, cluster.New(cfg), greedy{}, Config{})
+	var pods []*Pod
+	for i := 0; i < 3; i++ {
+		p := o.NewPod(workloads.RodiniaProfile(workloads.KMeans), nil)
+		p.RequestMemMB = 700
+		o.Submit(0, p)
+		pods = append(pods, p)
 	}
-	// Backoff off (the default): fixed delay regardless of crash count.
-	o2 := NewOrchestrator(sim.NewEngine(1), cluster.New(cluster.Config{Nodes: 1}), greedy{}, Config{})
-	if o2.relaunchDelay(7) != o2.Cfg.RelaunchDelay {
-		t.Fatal("default config must keep the fixed relaunch delay")
+	o.Run(10 * sim.Minute)
+	checked := false
+	for _, p := range pods {
+		var crashes []sim.Time
+		relaunchAt := map[sim.Time]bool{}
+		for _, e := range o.Events.ForPod(p.Name) {
+			switch e.Type {
+			case EventCrashed:
+				crashes = append(crashes, e.At)
+			case EventRelaunch:
+				relaunchAt[e.At] = true
+			}
+		}
+		if len(crashes) < 3 {
+			continue
+		}
+		for _, n := range []int{1, 3} {
+			if at := crashes[n-1] + RelaunchDelay; !relaunchAt[at] {
+				t.Fatalf("%s crash %d at %v: no relaunch at %v", p.Name, n, crashes[n-1], at)
+			}
+		}
+		checked = true
+	}
+	if !checked {
+		t.Fatal("no pod crashed three times; the scenario no longer crash-loops")
 	}
 }
 

@@ -136,15 +136,10 @@ func (o *Orchestrator) PreemptPod(now sim.Time, p *Pod, reason string, checkpoin
 	o.om.preemptions.Inc()
 	o.Events.Record(Event{At: now, Type: EventPreempted, Pod: p.Name,
 		Node: g.ID(), Detail: reason})
-	delay := o.Cfg.RelaunchDelay
+	delay := RelaunchDelay
 	if checkpoint {
 		delay += extraDelay
 	}
-	pod := p
-	o.Eng.After(delay, func(at sim.Time) {
-		pod.Phase = PodPending
-		o.pending = append(o.pending, pod)
-		o.Events.Record(Event{At: at, Type: EventRelaunch, Pod: pod.Name})
-	})
+	o.Eng.After(delay, func(at sim.Time) { o.requeue(at, p) })
 	return true
 }

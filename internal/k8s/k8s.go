@@ -163,23 +163,28 @@ type Scheduler interface {
 	Schedule(now sim.Time, pending []*Pod, snap *knots.Snapshot) []Decision
 }
 
+// Tick is the orchestrator's execution period. Every tick advances the
+// cluster, samples the monitor (unless Config.Heartbeat differs) and runs
+// one scheduling round.
+const Tick = 10 * sim.Millisecond
+
+// RelaunchDelay is the crash-, drain- and preemption-to-requeue latency: a
+// killed pod rejoins the back of the pending queue this long after its
+// container died.
+const RelaunchDelay = 2 * sim.Second
+
+// UtilSampleEvery is the node-utilization sampling period behind NodeUtil
+// and AwakeUtil.
+const UtilSampleEvery = 100 * sim.Millisecond
+
 // Config tunes the orchestrator loop.
 type Config struct {
-	Tick            sim.Time // execution tick (default 10 ms)
-	Heartbeat       sim.Time // monitor sampling period (default = Tick)
-	SchedEvery      sim.Time // scheduling period (default = Tick)
-	RelaunchDelay   sim.Time // crash-to-requeue delay (default 2 s)
-	UtilSampleEvery sim.Time // node-utilization sampling (default 100 ms)
+	Heartbeat sim.Time // monitor sampling period (default Tick)
 
 	// MaxRestarts caps crash relaunches: a pod that crashes this many times
 	// is Evicted instead of requeued. 0 means unlimited (the paper's
 	// crash-and-relaunch loop, and the baseline behaviour).
 	MaxRestarts int
-	// BackoffFactor multiplies RelaunchDelay per successive crash of the same
-	// pod (crash-loop backoff). Values ≤ 1 keep the fixed delay.
-	BackoffFactor float64
-	// MaxRelaunchDelay caps the backed-off delay (default 30 s).
-	MaxRelaunchDelay sim.Time
 
 	// StaleAfter / DeadAfter configure heartbeat-based liveness on the
 	// aggregator (see knots.Aggregator); both default to 0 = disabled.
@@ -190,28 +195,6 @@ type Config struct {
 	// Raise it when a full run's events feed a timeline export; capacity only
 	// bounds retention, never behaviour.
 	EventCapacity int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Tick <= 0 {
-		c.Tick = 10 * sim.Millisecond
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = c.Tick
-	}
-	if c.SchedEvery <= 0 {
-		c.SchedEvery = c.Tick
-	}
-	if c.RelaunchDelay <= 0 {
-		c.RelaunchDelay = 2 * sim.Second
-	}
-	if c.UtilSampleEvery <= 0 {
-		c.UtilSampleEvery = 100 * sim.Millisecond
-	}
-	if c.MaxRelaunchDelay <= 0 {
-		c.MaxRelaunchDelay = 30 * sim.Second
-	}
-	return c
 }
 
 // Orchestrator wires the cluster, the Knots monitoring layer, and a
@@ -280,7 +263,9 @@ type Orchestrator struct {
 
 // NewOrchestrator assembles an orchestrator over eng and cl using sched.
 func NewOrchestrator(eng *sim.Engine, cl *cluster.Cluster, sched Scheduler, cfg Config) *Orchestrator {
-	cfg = cfg.withDefaults()
+	if cfg.Heartbeat <= 0 {
+		cfg.Heartbeat = Tick
+	}
 	mon := knots.NewMonitor(cl, knots.RingCapacity(cfg.Heartbeat))
 	o := &Orchestrator{
 		Eng:         eng,
@@ -344,23 +329,17 @@ func (o *Orchestrator) Start() {
 		panic("k8s: orchestrator already started")
 	}
 	o.started = true
-	o.Eng.Every(o.Cfg.Tick, func(now sim.Time) bool {
+	o.Eng.Every(Tick, func(now sim.Time) bool {
 		o.tick(now)
 		return true
 	})
-	if o.Cfg.Heartbeat != o.Cfg.Tick {
+	if o.Cfg.Heartbeat != Tick {
 		o.Eng.Every(o.Cfg.Heartbeat, func(now sim.Time) bool {
 			o.heartbeat(now)
 			return true
 		})
 	}
-	if o.Cfg.SchedEvery != o.Cfg.Tick {
-		o.Eng.Every(o.Cfg.SchedEvery, func(now sim.Time) bool {
-			o.runScheduler(now)
-			return true
-		})
-	}
-	o.Eng.Every(o.Cfg.UtilSampleEvery, func(now sim.Time) bool {
+	o.Eng.Every(UtilSampleEvery, func(now sim.Time) bool {
 		o.sampleUtilization()
 		return true
 	})
@@ -385,7 +364,7 @@ func (o *Orchestrator) Run(until sim.Time) {
 func (o *Orchestrator) Cells() *obs.Cells { return &o.cells }
 
 func (o *Orchestrator) tick(now sim.Time) {
-	res := o.Cluster.Tick(now, o.Cfg.Tick)
+	res := o.Cluster.Tick(now, Tick)
 	o.Profiler.SampleContainers(now, o.Cluster)
 	for _, c := range res.Done {
 		o.Profiler.Complete(c)
@@ -430,23 +409,26 @@ func (o *Orchestrator) tick(now sim.Time) {
 				Detail: fmt.Sprintf("crash-loop: %d restarts", p.Crashes)})
 			continue
 		}
-		// Relaunch: back of the queue after the container restart latency
-		// (backed off per successive crash when configured), restarting
-		// execution from scratch.
-		pod := p
-		o.Eng.After(o.relaunchDelay(p.Crashes), func(at sim.Time) {
-			pod.Phase = PodPending
-			o.pending = append(o.pending, pod)
+		// Relaunch: back of the queue after the container restart latency,
+		// restarting execution from scratch.
+		o.Eng.After(RelaunchDelay, func(at sim.Time) {
+			o.requeue(at, p)
 			o.om.restarts.Inc()
-			o.Events.Record(Event{At: at, Type: EventRelaunch, Pod: pod.Name})
 		})
 	}
-	if o.Cfg.Heartbeat == o.Cfg.Tick {
+	if o.Cfg.Heartbeat == Tick {
 		o.heartbeat(now)
 	}
-	if o.Cfg.SchedEvery == o.Cfg.Tick {
-		o.runScheduler(now)
-	}
+	o.runScheduler(now)
+}
+
+// requeue returns a killed pod to the back of the pending queue and records
+// its relaunch. Crash, drain and preemption relaunches all end here, each
+// from its own Eng.After closure.
+func (o *Orchestrator) requeue(at sim.Time, p *Pod) {
+	p.Phase = PodPending
+	o.pending = append(o.pending, p)
+	o.Events.Record(Event{At: at, Type: EventRelaunch, Pod: p.Name})
 }
 
 // heartbeat samples the monitor, subject to any injected stats-path fault:
@@ -462,22 +444,6 @@ func (o *Orchestrator) heartbeat(now sim.Time) {
 		return
 	}
 	o.Monitor.Sample(now)
-}
-
-// relaunchDelay returns the requeue delay after the pod's n-th crash,
-// applying exponential crash-loop backoff when configured.
-func (o *Orchestrator) relaunchDelay(crashes int) sim.Time {
-	d := o.Cfg.RelaunchDelay
-	if o.Cfg.BackoffFactor <= 1 {
-		return d
-	}
-	for i := 1; i < crashes; i++ {
-		d = sim.Time(float64(d) * o.Cfg.BackoffFactor)
-		if d >= o.Cfg.MaxRelaunchDelay {
-			return o.Cfg.MaxRelaunchDelay
-		}
-	}
-	return d
 }
 
 func (o *Orchestrator) runScheduler(now sim.Time) {

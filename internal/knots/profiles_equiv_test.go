@@ -192,7 +192,7 @@ func TestProfilerMatchesPerContainerReference(t *testing.T) {
 		CheckpointCost: sim.Second,
 	})
 	var resident []*cluster.Container
-	o.Eng.Every(o.Cfg.Tick, func(sim.Time) bool {
+	o.Eng.Every(k8s.Tick, func(sim.Time) bool {
 		resident = resident[:0]
 		for _, g := range cl.GPUs() {
 			resident = append(resident, g.Containers()...)
@@ -202,7 +202,7 @@ func TestProfilerMatchesPerContainerReference(t *testing.T) {
 	o.Start()
 	ref := newRefProfiler()
 	seen := 0
-	o.Eng.Every(o.Cfg.Tick, func(now sim.Time) bool {
+	o.Eng.Every(k8s.Tick, func(now sim.Time) bool {
 		evs, total := o.Events.All(), o.Events.Total()
 		if total-seen > len(evs) {
 			t.Fatalf("event log dropped %d events before the reference read them", total-seen-len(evs))

@@ -374,6 +374,15 @@ func (ra *ResAg) Schedule(now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot
 	return out
 }
 
+// lcMargin multiplies a latency-critical pod's true peak footprint to form
+// its CBP/PP reservation.
+const lcMargin = 1.2
+
+// maxBatch bounds how many pending pods one CBP/PP scheduling round
+// considers, modelling the scheduler's placement throughput; the rest stay
+// queued for the next round.
+const maxBatch = 64
+
 // CBP is the correlation-based prediction/provisioning scheduler
 // (Section IV-C).
 type CBP struct {
@@ -382,9 +391,6 @@ type CBP struct {
 	CorrThreshold float64
 	// ResizePct is the percentile batch pods are resized to (paper: 80).
 	ResizePct float64
-	// LCMargin multiplies a latency-critical pod's true peak footprint to
-	// form its reservation (default 1.2).
-	LCMargin float64
 	// MaxSM is the planned ceiling on co-located *batch* SM demand per
 	// device (default 200 — batch kernels time-share and stretch, keeping
 	// the device pegged; batch turnaround is not this experiment's metric).
@@ -394,10 +400,6 @@ type CBP struct {
 	// node to be admissible (default 0.9) — the SLO-aware placement test
 	// Res-Ag lacks.
 	SLOFraction float64
-	// MaxBatch bounds how many pending pods one scheduling round considers
-	// (default 64), modelling the scheduler's placement throughput; the
-	// rest stay queued for the next round.
-	MaxBatch int
 	// Learned, when set, supplies online-learned per-image statistics from
 	// the Knots profiler: reservations and the correlation gate use the
 	// learned percentiles and early-window series once an image has
@@ -417,16 +419,13 @@ func (c *CBP) SetDecisionTracer(t obs.Tracer) { c.Trace = t }
 // Name implements k8s.Scheduler.
 func (c *CBP) Name() string { return "CBP" }
 
-func (c *CBP) params() (corr, resize, lcm, maxSM float64) {
-	corr, resize, lcm, maxSM = c.CorrThreshold, c.ResizePct, c.LCMargin, c.MaxSM
+func (c *CBP) params() (corr, resize, maxSM float64) {
+	corr, resize, maxSM = c.CorrThreshold, c.ResizePct, c.MaxSM
 	if corr == 0 {
 		corr = 0.5
 	}
 	if resize == 0 {
 		resize = 80
-	}
-	if lcm == 0 {
-		lcm = 1.2
 	}
 	if maxSM == 0 {
 		maxSM = 200
@@ -475,7 +474,7 @@ func (c *CBP) sloOK(pod *k8s.Pod, stretch float64) bool {
 // With a Learned profiler attached, images that have completed runs are
 // provisioned from their observed statistics instead of the static profile.
 func (c *CBP) ReserveFor(pod *k8s.Pod) float64 {
-	_, resizePct, lcm, _ := c.params()
+	_, resizePct, _ := c.params()
 	if c.Learned != nil {
 		if st, ok := c.Learned.Stats(pod.Profile.Name); ok {
 			if pod.Class == workloads.Batch {
@@ -490,7 +489,7 @@ func (c *CBP) ReserveFor(pod *k8s.Pod) float64 {
 					return r
 				}
 			} else if st.MemPeakMB > 0 {
-				return st.MemPeakMB * lcm
+				return st.MemPeakMB * lcMargin
 			}
 		}
 	}
@@ -501,7 +500,7 @@ func (c *CBP) ReserveFor(pod *k8s.Pod) float64 {
 		}
 		return r
 	}
-	return pod.Profile.PeakMemMB() * lcm
+	return pod.Profile.PeakMemMB() * lcMargin
 }
 
 // staleAdmit is degraded-mode admission (fault tolerance, not in the
@@ -516,10 +515,9 @@ func (c *CBP) staleAdmit(pod *k8s.Pod, st *knots.GPUStat, pl *planner, i int) (f
 	if pl.conts[i] > 0 || pl.claimed[i] || len(st.Resident) > 0 {
 		return 0, false
 	}
-	_, _, lcm, _ := c.params()
 	reserve := pod.Profile.PeakMemMB()
 	if pod.Class == workloads.LatencyCritical {
-		reserve *= lcm
+		reserve *= lcMargin
 	}
 	if reserve > g.MemCapMB {
 		reserve = g.MemCapMB
@@ -552,7 +550,7 @@ func (c *CBP) corrOK(pod *k8s.Pod, st *knots.GPUStat) bool {
 // rank buffers live in the scheduler's gate scratch, so the per-candidate
 // check does not allocate.
 func (c *CBP) corrCheck(pod *k8s.Pod, st *knots.GPUStat) (rho float64, computed, ok bool) {
-	corrTh, _, _, _ := c.params()
+	corrTh, _, _ := c.params()
 	if pod.Class != workloads.Batch {
 		return 0, false, true
 	}
@@ -592,14 +590,6 @@ func (c *CBP) upcomingMemSeries(p *workloads.Profile) []float64 {
 	}
 	c.profCache[p.Name] = upcoming
 	return upcoming
-}
-
-// batchLimit returns the per-round pod budget.
-func (c *CBP) batchLimit() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
-	}
-	return 64
 }
 
 // Schedule implements k8s.Scheduler.
@@ -680,11 +670,11 @@ func (c *CBP) evalCandidate(pp *PP, pod *k8s.Pod, reserve, peakSM, maxSM float64
 // such a pod cannot be placed, so its scan is skipped — unless a tracer
 // wants every candidate step recorded.
 func (c *CBP) scheduleAlgo1(pp *PP, name string, now sim.Time, pending []*k8s.Pod, snap *knots.Snapshot) []k8s.Decision {
-	_, _, _, maxSM := c.params()
+	_, _, maxSM := c.params()
 	pl := &c.scr.plan
 	pl.reset(snap)
-	if len(pending) > c.batchLimit() {
-		pending = pending[:c.batchLimit()]
+	if len(pending) > maxBatch {
+		pending = pending[:maxBatch]
 	}
 	plans := c.scr.plans[:0]
 	for _, pod := range pending {
@@ -726,9 +716,6 @@ func (c *CBP) scheduleAlgo1(pp *PP, name string, now sim.Time, pending []*k8s.Po
 // on CBP's harvesting and correlation gate.
 type PP struct {
 	CBP
-	// ForecastHorizon is how far the ARIMA forecast looks ahead (the paper
-	// forecasts the next second).
-	ForecastHorizon sim.Time
 	// NewModel builds the forecaster used on node memory series; nil means
 	// the paper's first-order ARIMA (Equation 3). Exposed for the
 	// forecaster-choice ablation.

@@ -424,9 +424,9 @@ func TestSchedulerNames(t *testing.T) {
 
 func TestCBPDefaultsApplied(t *testing.T) {
 	var c CBP
-	corr, resize, lcm, maxSM := c.params()
-	if corr != 0.5 || resize != 80 || lcm != 1.2 || maxSM != 200 {
-		t.Fatalf("defaults = %v %v %v %v", corr, resize, lcm, maxSM)
+	corr, resize, maxSM := c.params()
+	if corr != 0.5 || resize != 80 || maxSM != 200 {
+		t.Fatalf("defaults = %v %v %v", corr, resize, maxSM)
 	}
 	lc := newRig(1).pod(workloads.Inference(workloads.Key).QueryProfile(1, false))
 	if !c.lcFits(lc, 0) {
@@ -435,9 +435,9 @@ func TestCBPDefaultsApplied(t *testing.T) {
 	if c.lcFits(lc, 900) {
 		t.Fatal("a 9x-saturated node must fail the SLO test")
 	}
-	c2 := CBP{CorrThreshold: 0.3, ResizePct: 95, LCMargin: 2, MaxSM: 150}
-	corr, resize, lcm, maxSM = c2.params()
-	if corr != 0.3 || resize != 95 || lcm != 2 || maxSM != 150 {
+	c2 := CBP{CorrThreshold: 0.3, ResizePct: 95, MaxSM: 150}
+	corr, resize, maxSM = c2.params()
+	if corr != 0.3 || resize != 95 || maxSM != 150 {
 		t.Fatal("explicit params ignored")
 	}
 }
