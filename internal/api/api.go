@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,12 +144,11 @@ type errorEnvelope struct {
 type snapshot struct {
 	// version is the mutation counter the snapshot was built at; reads
 	// compare it against Server.version to decide whether a rebuild is due.
-	version  uint64
-	nowMS    int64
-	pods     []PodStatus // sorted by name
-	podIndex map[string]int
-	nodes    []NodeStatus
-	qos      QoSStatus
+	version uint64
+	nowMS   int64
+	pods    []PodStatus // sorted by name
+	nodes   []NodeStatus
+	qos     QoSStatus
 	// events holds the retained tail of the event log; eventsBase is the
 	// absolute log index of events[0] (the ring evicts oldest-first), which
 	// keeps continue-tokens stable across snapshot rebuilds.
@@ -161,9 +161,11 @@ type snapshot struct {
 // simulation is single-threaded by design); reads serve from snap and take
 // mu only shared — and only to refresh a stale snapshot.
 type Server struct {
-	mu      sync.RWMutex // guards orch, pods, harvest, persist use
-	orch    *k8s.Orchestrator
-	pods    map[string]*k8s.Pod
+	mu   sync.RWMutex // guards orch, pods, harvest, persist use
+	orch *k8s.Orchestrator
+	// pods holds every submitted pod, sorted by name as they arrive, so a
+	// snapshot rebuild walks them in wire order without sorting.
+	pods    []*k8s.Pod
 	harvest *harvest.Controller
 	// persist journals accepted mutations; nil leaves the server
 	// byte-identical to a build without the subsystem.
@@ -183,7 +185,7 @@ type Server struct {
 // NewServer wraps orch. The orchestrator must not be driven concurrently
 // by anything else.
 func NewServer(orch *k8s.Orchestrator) *Server {
-	s := &Server{orch: orch, pods: make(map[string]*k8s.Pod)}
+	s := &Server{orch: orch}
 	// Publish an initial (empty) snapshot so reads never block on a writer
 	// that started before the first GET.
 	s.buildSnapshotLocked()
@@ -238,14 +240,9 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) buildSnapshotLocked() *snapshot {
 	sn := &snapshot{version: s.version.Load(), nowMS: int64(s.orch.Eng.Now())}
 
-	sn.pods = make([]PodStatus, 0, len(s.pods))
-	for _, p := range s.pods {
-		sn.pods = append(sn.pods, s.status(p))
-	}
-	sort.Slice(sn.pods, func(i, j int) bool { return sn.pods[i].Name < sn.pods[j].Name })
-	sn.podIndex = make(map[string]int, len(sn.pods))
-	for i := range sn.pods {
-		sn.podIndex[sn.pods[i].Name] = i
+	sn.pods = make([]PodStatus, len(s.pods))
+	for i, p := range s.pods {
+		sn.pods[i] = s.status(p)
 	}
 
 	for _, g := range s.orch.Cluster.GPUs() {
@@ -448,7 +445,7 @@ func (s *Server) createPod(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	if _, exists := s.pods[m.Name]; exists {
+	if _, exists := s.findPod(m.Name); exists {
 		s.mu.Unlock()
 		writeErr(w, http.StatusConflict, "pod %q already exists", m.Name)
 		return
@@ -481,7 +478,7 @@ func (s *Server) createPod(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.orch.Submit(s.orch.Eng.Now(), pod)
-	s.pods[pod.Name] = pod
+	s.addPod(pod)
 	st := s.status(pod)
 	s.version.Add(1)
 	s.maybeSnapshotLocked()
@@ -506,12 +503,29 @@ func (s *Server) handlePod(w http.ResponseWriter, r *http.Request) {
 	}
 	name := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, "/v1"), "/pods/")
 	sn := s.currentSnapshot()
-	i, ok := sn.podIndex[name]
+	i, ok := slices.BinarySearchFunc(sn.pods, name, func(p PodStatus, name string) int {
+		return strings.Compare(p.Name, name)
+	})
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no pod %q", name)
 		return
 	}
 	writeJSON(w, http.StatusOK, sn.pods[i])
+}
+
+// findPod returns where a pod named name is, or would be inserted, in
+// s.pods, and whether it is there. The caller must hold mu.
+func (s *Server) findPod(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.pods, name, func(p *k8s.Pod, name string) int {
+		return strings.Compare(p.Name, name)
+	})
+}
+
+// addPod records a newly submitted pod, whose name is not yet taken, in
+// name order. The caller must hold mu.
+func (s *Server) addPod(p *k8s.Pod) {
+	i, _ := s.findPod(p.Name)
+	s.pods = slices.Insert(s.pods, i, p)
 }
 
 // status builds one pod's wire form; the caller must hold mu.

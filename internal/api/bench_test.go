@@ -36,16 +36,16 @@ func newListBenchServer(b *testing.B, n int) *Server {
 			b.Fatal(err)
 		}
 		orch.Submit(orch.Eng.Now(), pod)
-		s.pods[pod.Name] = pod
+		s.addPod(pod)
 	}
-	// Direct map inserts bypass createPod, so invalidate the snapshot the
+	// Direct inserts bypass createPod, so invalidate the snapshot the
 	// same way it would: one version bump.
 	s.version.Add(1)
 	return s
 }
 
 // BenchmarkAPIListPods10k measures a cold GET /pods over 10k pods: one full
-// snapshot rebuild (status conversion + sort.Slice + event log walk) plus
+// snapshot rebuild (status conversion + event log walk) plus
 // JSON encoding. The version bump each iteration forces the rebuild — the
 // worst case a read can hit.
 func BenchmarkAPIListPods10k(b *testing.B) {
@@ -99,35 +99,36 @@ func newRecoverServer(tb testing.TB) *Server {
 }
 
 // journalRecoverScript writes the recovery script into dir through the
-// server's handlers: 1,000 steps of a 100 ms advance, with a submit after
+// server's handlers: steps steps of a 100 ms advance, with a submit after
 // every fifth step's advance, alternating harvested Rodinia jobs and
-// inference pods (1,200 commands). A snapshot lands every 64 commands;
-// the manager is closed without a final one, as a crash would leave it, so
-// recovery replays a snapshot and then a WAL tail.
-func journalRecoverScript(b *testing.B, dir string) {
-	b.Helper()
-	s := newRecoverServer(b)
+// inference pods — recoverCommands(steps) commands; BenchmarkRecover's 1,000
+// steps make 1,200. A snapshot lands every 64 commands; the manager is
+// closed without a final one, as a crash would leave it, so recovery
+// replays a snapshot and then a WAL tail.
+func journalRecoverScript(tb testing.TB, dir string, steps int) {
+	tb.Helper()
+	s := newRecoverServer(tb)
 	m, err := persist.Open(dir, recoverBoot, persist.WithSnapshotEvery(64), persist.WithSyncEvery(1<<20))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := s.Recover(m); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	h := s.Handler()
 	post := func(path string, body any) {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(buf)))
 		if rec.Code/100 != 2 {
-			b.Fatalf("POST %s: HTTP %d: %s", path, rec.Code, rec.Body)
+			tb.Fatalf("POST %s: HTTP %d: %s", path, rec.Code, rec.Body)
 		}
 	}
 	rodinia, inference := workloads.RodiniaNames(), workloads.InferenceNames()
-	for k := 0; k < 1000; k++ {
+	for k := 0; k < steps; k++ {
 		post("/v1/advance", advanceRequest{MS: int64(100 * sim.Millisecond)})
 		if k%5 != 0 {
 			continue
@@ -142,11 +143,31 @@ func journalRecoverScript(b *testing.B, dir string) {
 		}
 		post("/v1/pods", m)
 	}
-	if got := m.StatsSnapshot().Commands; got != 1200 {
-		b.Fatalf("journaled %d commands, want 1200", got)
+	if got, want := m.StatsSnapshot().Commands, recoverCommands(steps); got != want {
+		tb.Fatalf("journaled %d commands, want %d", got, want)
 	}
 	if err := m.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+}
+
+// recoverCommands is the number of commands the recovery script journals
+// in steps steps: every advance, and a submit on every fifth.
+func recoverCommands(steps int) int { return steps + (steps+4)/5 }
+
+// recoverOnce recovers dir into a fresh server and closes the manager
+// again, failing unless it replays want commands.
+func recoverOnce(tb testing.TB, s *Server, dir string, want int) {
+	tb.Helper()
+	m, err := persist.Open(dir, recoverBoot)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n, err := s.Recover(m); err != nil || n != want {
+		tb.Fatalf("recovered %d commands: %v", n, err)
+	}
+	if err := m.Close(); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -158,7 +179,7 @@ func journalRecoverScript(b *testing.B, dir string) {
 // reports the snapshot's size as snapshot_bytes.
 func BenchmarkRecover(b *testing.B) {
 	dir := b.TempDir()
-	journalRecoverScript(b, dir)
+	journalRecoverScript(b, dir, 1000)
 	store, err := persist.OpenStore(dir)
 	if err != nil {
 		b.Fatal(err)
@@ -187,4 +208,28 @@ func BenchmarkRecover(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(fi.Size()), "snapshot_bytes")
+}
+
+// BenchmarkRecoveryScaling recovers BenchmarkRecover's script at 1,200,
+// 4,800 and 9,600 commands. A replay's cost should follow the live cluster,
+// not the history, so us/cmd, the recovery time per replayed command,
+// should stay flat across the three. Each recovery includes closing its
+// manager; journaling and building the empty control plane are untimed.
+func BenchmarkRecoveryScaling(b *testing.B) {
+	for _, steps := range []int{1000, 4000, 8000} {
+		cmds := recoverCommands(steps)
+		b.Run(fmt.Sprintf("commands=%d", cmds), func(b *testing.B) {
+			dir := b.TempDir()
+			journalRecoverScript(b, dir, steps)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := newRecoverServer(b)
+				b.StartTimer()
+				recoverOnce(b, s, dir, cmds)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*cmds), "us/cmd")
+		})
+	}
 }

@@ -3,7 +3,6 @@ package api
 import (
 	"fmt"
 
-	"kubeknots/internal/k8s"
 	"kubeknots/internal/persist"
 )
 
@@ -22,7 +21,7 @@ func (s *Server) Recover(m *persist.Manager) (int, error) {
 	if s.persist != nil {
 		return 0, fmt.Errorf("api: persistence already attached")
 	}
-	replayed, err := m.Replay(s.orch, s.harvest, func(pod *k8s.Pod) { s.pods[pod.Name] = pod })
+	replayed, err := m.Replay(s.orch, s.harvest, s.addPod)
 	if err != nil {
 		return replayed, err
 	}

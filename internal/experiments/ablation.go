@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kubeknots/internal/forecast"
+	"kubeknots/internal/knots"
 	"kubeknots/internal/scheduler"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/workloads"
@@ -152,27 +153,36 @@ func AblationForecaster(cfg ClusterConfig) *Table {
 // (Fig. 5's "Container Resource Usage Profiles"): after a warm-up run the
 // learned path should match the static ground truth.
 func AblationLearnedProfiles(cfg ClusterConfig) *Table {
-	mix, _ := workloads.MixByID(2)
 	t := &Table{
 		ID:     "ablation-learned",
 		Title:  "Static vs online-learned provisioning under PP (App-Mix-2)",
 		Header: []string{"mode", "util-p50", "qos/kilo", "crashes"},
 	}
-	// The static run warms the profiler the learned run then schedules by.
-	cfg.RunKey = "ablation-learned/static"
-	o := RunCluster(&scheduler.PP{}, mix, cfg)
-	ps := o.ClusterUtilPercentiles()
-	t.AddRow("static-profiles", f1(ps[0]), f1(o.QoS.PerKilo()),
-		fmt.Sprintf("%d", o.CrashEvents))
-	learned := &scheduler.PP{CBP: scheduler.CBP{Learned: o.Profiler}}
-	cfg.RunKey = "ablation-learned/learned"
-	o2 := RunCluster(learned, mix, cfg)
-	ps2 := o2.ClusterUtilPercentiles()
-	t.AddRow("learned-profiles", f1(ps2[0]), f1(o2.QoS.PerKilo()),
-		fmt.Sprintf("%d", o2.CrashEvents))
+	static, learned := learnedProfileRuns(cfg)
+	for _, r := range []struct {
+		mode string
+		o    *ClusterRun
+	}{{"static-profiles", static}, {"learned-profiles", learned}} {
+		ps := r.o.ClusterUtilPercentiles()
+		t.AddRow(r.mode, f1(ps[0]), f1(r.o.QoS.PerKilo()), fmt.Sprintf("%d", r.o.CrashEvents))
+	}
 	t.Notes = append(t.Notes,
 		"online-learned percentiles converge to the static ground truth, so behaviour matches after warm-up")
 	return t
+}
+
+// learnedProfileRuns runs AblationLearnedProfiles' two PP runs on App-Mix-2.
+// The static run is the one run that carries a profiler: it learns the
+// per-image statistics the learned run then provisions from.
+func learnedProfileRuns(cfg ClusterConfig) (static, learned *ClusterRun) {
+	mix, _ := workloads.MixByID(2)
+	cfg.RunKey = "ablation-learned/static"
+	cfg.profiler = knots.NewProfiler()
+	static = RunCluster(&scheduler.PP{}, mix, cfg)
+	cfg.RunKey = "ablation-learned/learned"
+	cfg.profiler = nil
+	learned = RunCluster(&scheduler.PP{CBP: scheduler.CBP{Learned: static.Profiler}}, mix, cfg)
+	return static, learned
 }
 
 // AblationSLOFraction sweeps PP's SLO-aware admission margin on App-Mix-1:

@@ -7,6 +7,7 @@ import (
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/harvest"
 	"kubeknots/internal/k8s"
+	"kubeknots/internal/knots"
 	"kubeknots/internal/obs"
 	"kubeknots/internal/obs/span"
 	"kubeknots/internal/persist"
@@ -67,6 +68,10 @@ type ClusterConfig struct {
 	// RunKey names the run inside the collector (grids stamp their grid key;
 	// "" falls back to scheduler/mix). RunCluster appends "/seed=N".
 	RunKey string
+
+	// profiler, when set, is attached to the run's orchestrator to learn
+	// per-image statistics; only AblationLearnedProfiles reads them.
+	profiler *knots.Profiler
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -149,6 +154,7 @@ func RunCluster(sched k8s.Scheduler, mix workloads.AppMix, cfg ClusterConfig) *C
 		}
 	}
 	o := k8s.NewOrchestrator(eng, cl, sched, kcfg)
+	o.Profiler = cfg.profiler
 	var inj *chaos.Injector
 	if !cfg.Chaos.Zero() {
 		var err error

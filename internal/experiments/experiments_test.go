@@ -8,6 +8,7 @@ import (
 
 	"kubeknots/internal/dlsim"
 	"kubeknots/internal/forecast"
+	"kubeknots/internal/k8s"
 	"kubeknots/internal/scheduler"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/trace"
@@ -359,6 +360,35 @@ func TestTableFormats(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "util%") {
 		t.Fatalf("csv header = %q", lines[0])
+	}
+}
+
+// TestLearnedProfilesReadLearnedStats checks that the learned run of
+// AblationLearnedProfiles provisions from statistics its static run
+// learned. The table cannot show it: at short horizons both of its rows
+// read 0.0 whether or not anything was learned.
+func TestLearnedProfilesReadLearnedStats(t *testing.T) {
+	static, learned := learnedProfileRuns(fastCfg())
+	if static.Profiler == nil || learned.Profiler != nil {
+		t.Fatalf("profilers: static %p, learned %p; want only the static run's", static.Profiler, learned.Profiler)
+	}
+	pp, ok := learned.Sched.(*scheduler.PP)
+	if !ok || pp.Learned != static.Profiler {
+		t.Fatal("the learned run does not schedule from the static run's profiler")
+	}
+	mix, _ := workloads.MixByID(2)
+	changed := 0
+	for _, name := range mix.Batch {
+		if _, ok := pp.Learned.Stats(name); !ok {
+			continue
+		}
+		pod := &k8s.Pod{Class: workloads.Batch, Profile: workloads.RodiniaProfile(name)}
+		if pp.ReserveFor(pod) != (&scheduler.CBP{}).ReserveFor(pod) {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatalf("no batch image of %s is provisioned from learned stats (learned images %v)", mix.Name(), pp.Learned.Images())
 	}
 }
 

@@ -1,13 +1,11 @@
 package harvest
 
 import (
-	"kubeknots/internal/cluster"
 	"kubeknots/internal/k8s"
 	"kubeknots/internal/knots"
 	"kubeknots/internal/obs"
 	"kubeknots/internal/scheduler"
 	"kubeknots/internal/sim"
-	"kubeknots/internal/workloads"
 )
 
 // NodeState is one device's view at the controller's last tick — the
@@ -53,6 +51,9 @@ type Controller struct {
 	cfg    Config
 	gate   scheduler.HarvestGate
 	tracer obs.Tracer
+	// traced is set while a tracer other than obs.Nop is attached; the
+	// verdict bookkeeping behind decision records runs only then.
+	traced bool
 	cm     *ctlMetrics
 
 	states   []NodeState
@@ -66,8 +67,10 @@ type Controller struct {
 	guardLeft      int
 
 	// scratch buffers reused across ticks.
-	podBuf  []*k8s.Pod
-	candBuf []VictimCandidate
+	podBuf    []*k8s.Pod
+	candBuf   []VictimCandidate
+	committed []float64
+	devs      []device
 }
 
 // New builds a controller over o and attaches it as the orchestrator's
@@ -98,6 +101,7 @@ func (c *Controller) SetDecisionTracer(t obs.Tracer) {
 		t = obs.Nop
 	}
 	c.tracer = t
+	c.traced = t != obs.Nop
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -264,18 +268,30 @@ func (c *Controller) admit(now sim.Time, snap *knots.Snapshot) {
 		c.prevViolations = v
 		c.guardLeft = c.cfg.QoSGuardWindow
 	}
-	pending := c.o.PendingHarvested(c.podBuf[:0])
+	c.podBuf = c.o.PendingHarvested(c.podBuf[:0])
+	pending := c.podBuf
 	if c.guardLeft > 0 {
 		c.guardLeft--
-		for _, p := range pending {
-			c.traceReject(now, p, nil, obs.RejectHarvestQoS)
+		if c.traced {
+			for _, p := range pending {
+				c.traceReject(now, p, nil, obs.RejectHarvestQoS)
+			}
 		}
 		return
 	}
 	if len(pending) == 0 {
 		return
 	}
-	committed := make([]float64, len(snap.Stats))
+	// The gate inputs that depend only on the device are fixed for the
+	// tick: its SM ceiling and whether it hosts latency-critical work.
+	c.committed = c.committed[:0]
+	c.devs = c.devs[:0]
+	for i := range snap.Stats {
+		lc := scheduler.HostsLC(snap.Stats[i].Resident)
+		c.committed = append(c.committed, 0)
+		c.devs = append(c.devs, device{load: c.states[i].ForecastMB, smCap: c.gate.SMCap(lc), lcFree: !lc})
+	}
+	committed := c.committed
 	admitted := 0
 	for _, p := range pending {
 		if admitted >= c.cfg.MaxAdmitPerTick {
@@ -304,27 +320,26 @@ func (c *Controller) admit(now sim.Time, snap *knots.Snapshot) {
 				outcome = obs.RejectAffinity
 				continue
 			}
-			load := c.states[i].ForecastMB
-			ok, out := c.gate.Admit(st, load, peakSM, reserve, committed[i])
+			d := &c.devs[i]
+			ok, out := c.gate.Admit(st, d.load, d.smCap, peakSM, reserve, committed[i])
 			outcome = out
 			if !ok {
 				continue
 			}
-			lcFree := !hostsLC(st.Resident)
-			spare := c.cfg.Headroom*st.GPU.MemCapMB - load - committed[i] - reserve
+			spare := c.cfg.Headroom*st.GPU.MemCapMB - d.load - committed[i] - reserve
 			better := false
 			switch {
 			case best < 0:
 				better = true
-			case pack && lcFree != bestLCFree:
-				better = lcFree
-			case pack && lcFree:
+			case pack && d.lcFree != bestLCFree:
+				better = d.lcFree
+			case pack && d.lcFree:
 				better = spare < bestSpare // pack LC-free devices tight
 			default:
 				better = spare > bestSpare // spread across the rest
 			}
 			if better {
-				best, bestSpare, bestLCFree = i, spare, lcFree
+				best, bestSpare, bestLCFree = i, spare, d.lcFree
 			}
 		}
 		bound := false
@@ -344,46 +359,46 @@ func (c *Controller) admit(now sim.Time, snap *knots.Snapshot) {
 				} else {
 					outcome = obs.OutcomeHarvested
 				}
-				delete(c.lastOutcome, p.Name)
-				c.tracer.Trace(obs.DecisionRecord{
-					At:        int64(now),
-					Scheduler: c.o.Sched.Name(),
-					Pod:       p.Name,
-					Class:     k8s.PriorityClassName(p.Priority),
-					ReserveMB: reserve,
-					PeakSMPct: peakSM,
-					Placed:    true,
-					GPU:       st.GPU.ID(),
-					Candidates: []obs.CandidateTrace{{
-						GPU:     st.GPU.ID(),
-						FreeMB:  st.FreeReservableMB - committed[best] + reserve,
-						Outcome: outcome,
-					}},
-				})
+				if c.traced {
+					delete(c.lastOutcome, p.Name)
+					c.tracer.Trace(obs.DecisionRecord{
+						At:        int64(now),
+						Scheduler: c.o.Sched.Name(),
+						Pod:       p.Name,
+						Class:     k8s.PriorityClassName(p.Priority),
+						ReserveMB: reserve,
+						PeakSMPct: peakSM,
+						Placed:    true,
+						GPU:       st.GPU.ID(),
+						Candidates: []obs.CandidateTrace{{
+							GPU:     st.GPU.ID(),
+							FreeMB:  st.FreeReservableMB - committed[best] + reserve,
+							Outcome: outcome,
+						}},
+					})
+				}
 			}
 			// On a bind error the authoritative state disagreed with the
 			// snapshot (e.g. a same-tick bind changed the resident set);
 			// the pod stays queued for the next tick.
 		}
-		if !bound {
+		if !bound && c.traced {
 			c.traceReject(now, p, &reserve, outcome)
 		}
 	}
 }
 
-// hostsLC reports whether any resident container is latency-critical.
-func hostsLC(resident []*cluster.Container) bool {
-	for _, r := range resident {
-		if r.Class == workloads.LatencyCritical {
-			return true
-		}
-	}
-	return false
+// device holds one device's pod-independent admission inputs for a tick.
+type device struct {
+	load   float64 // WatermarkLoad, as published in c.states
+	smCap  float64
+	lcFree bool
 }
 
 // traceReject records a queued-pod verdict, but only when it changed since
 // the pod's last trace — a pod stuck behind a saturated cluster does not
-// emit a record every 100 ms.
+// emit a record every 100 ms. Callers invoke it only with a tracer
+// attached.
 func (c *Controller) traceReject(now sim.Time, p *k8s.Pod, reserve *float64, outcome string) {
 	if c.lastOutcome[p.Name] == outcome {
 		return

@@ -2,6 +2,7 @@ package k8s
 
 import (
 	"fmt"
+	"slices"
 
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/sim"
@@ -31,7 +32,15 @@ type Harvester interface {
 }
 
 // SetHarvester attaches the harvest controller hook. Pass nil to detach.
-func (o *Orchestrator) SetHarvester(h Harvester) { o.harvest = h }
+// Pods already pending move to the queue of whoever now places them.
+func (o *Orchestrator) SetHarvester(h Harvester) {
+	all := o.PendingPods()
+	o.harvest = h
+	o.pending, o.harvestQ = o.pending[:0], o.harvestQ[:0]
+	for _, p := range all {
+		o.queue(p)
+	}
+}
 
 // ResidentPods appends the pods resident on g (container placement order —
 // deterministic) to buf and returns it. The de-harvest path scans this for
@@ -45,15 +54,10 @@ func (o *Orchestrator) ResidentPods(g *cluster.GPU, buf []*Pod) []*Pod {
 	return buf
 }
 
-// PendingHarvested appends the queue's harvested pods (FIFO order) to buf
-// and returns it — the harvest controller's admission candidates.
+// PendingHarvested appends the pending harvested pods (FIFO order) to buf
+// and returns it — the attached harvest controller's admission candidates.
 func (o *Orchestrator) PendingHarvested(buf []*Pod) []*Pod {
-	for _, p := range o.pending {
-		if p.Harvested {
-			buf = append(buf, p)
-		}
-	}
-	return buf
+	return append(buf, o.harvestQ...)
 }
 
 // BindHarvested places a pending harvested pod on g with the given
@@ -101,11 +105,10 @@ func (o *Orchestrator) BindHarvested(now sim.Time, p *Pod, g *cluster.GPU, reser
 		p.ScheduleAt = now
 	}
 	o.byContainer[c] = p
-	for i, q := range o.pending {
-		if q == p {
-			o.pending = append(o.pending[:i], o.pending[i+1:]...)
-			break
-		}
+	if i := slices.Index(o.harvestQ, p); i >= 0 {
+		o.harvestQ = slices.Delete(o.harvestQ, i, i+1)
+	} else if i := slices.Index(o.pending, p); i >= 0 {
+		o.pending = slices.Delete(o.pending, i, i+1)
 	}
 	return resumed, nil
 }

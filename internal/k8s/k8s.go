@@ -111,6 +111,9 @@ type Pod struct {
 	// resume marks a checkpointed pod: the next binding reuses inst — and
 	// its accumulated phase progress — instead of starting a fresh instance.
 	resume bool
+	// enq stamps the pod's latest entry into the pending queue; PendingPods
+	// merges the orchestrator's two queues by it.
+	enq uint64
 }
 
 // Running reports whether the pod currently has a GPU-resident container.
@@ -204,9 +207,11 @@ type Orchestrator struct {
 	Cluster *cluster.Cluster
 	Monitor *knots.Monitor
 	Agg     *knots.Aggregator
-	// Profiler accumulates per-image usage statistics from every run
-	// (Fig. 5's "Container Resource Usage Profiles"); schedulers may
-	// consume it for online-learned provisioning.
+	// Profiler, when set, accumulates per-image usage statistics from every
+	// run (Fig. 5's "Container Resource Usage Profiles") for a scheduler's
+	// online-learned provisioning. It is nil unless a run attaches one
+	// before it starts: sampling every container each tick costs a replay
+	// or a daemon that never reads the result.
 	Profiler *knots.Profiler
 	Sched    Scheduler
 	QoS      *qos.Tracker
@@ -214,7 +219,13 @@ type Orchestrator struct {
 	Events *EventLog
 	Cfg    Config
 
+	// The pending pods, in arrival order, are split in two queues: pending
+	// holds those the scheduler places, harvestQ those an attached harvest
+	// controller admits (harvested pods). Without a controller every pod is
+	// in pending. enqSeq numbers queue entries (Pod.enq).
 	pending     []*Pod
+	harvestQ    []*Pod
+	enqSeq      uint64
 	byContainer map[*cluster.Container]*Pod
 	Completed   []*Pod
 	// Evicted holds pods terminated by the crash-loop cap; they never
@@ -272,7 +283,6 @@ func NewOrchestrator(eng *sim.Engine, cl *cluster.Cluster, sched Scheduler, cfg 
 		Cluster:     cl,
 		Monitor:     mon,
 		Agg:         knots.NewAggregator(mon),
-		Profiler:    knots.NewProfiler(),
 		Sched:       sched,
 		QoS:         &qos.Tracker{},
 		Events:      NewEventLog(cfg.EventCapacity),
@@ -305,7 +315,7 @@ func (o *Orchestrator) NewPod(profile *workloads.Profile, rng *rand.Rand) *Pod {
 func (o *Orchestrator) Submit(now sim.Time, p *Pod) {
 	p.SubmitAt = now
 	p.Phase = PodPending
-	o.pending = append(o.pending, p)
+	o.enqueue(p)
 	o.Events.Record(Event{At: now, Type: EventSubmitted, Pod: p.Name})
 }
 
@@ -315,7 +325,24 @@ func (o *Orchestrator) SubmitAt(at sim.Time, p *Pod) {
 }
 
 // PendingLen returns the queue depth.
-func (o *Orchestrator) PendingLen() int { return len(o.pending) }
+func (o *Orchestrator) PendingLen() int { return len(o.pending) + len(o.harvestQ) }
+
+// enqueue appends p to the back of its pending queue.
+func (o *Orchestrator) enqueue(p *Pod) {
+	o.enqSeq++
+	p.enq = o.enqSeq
+	o.queue(p)
+}
+
+// queue appends p to the pending queue of whoever places it: the harvest
+// controller for a harvested pod while one is attached, else the scheduler.
+func (o *Orchestrator) queue(p *Pod) {
+	if o.harvest != nil && p.Harvested {
+		o.harvestQ = append(o.harvestQ, p)
+	} else {
+		o.pending = append(o.pending, p)
+	}
+}
 
 // Started reports whether the periodic callbacks are registered — callers
 // layering their own event streams (harvest, chaos) use it to start the
@@ -427,7 +454,7 @@ func (o *Orchestrator) tick(now sim.Time) {
 // from its own Eng.After closure.
 func (o *Orchestrator) requeue(at sim.Time, p *Pod) {
 	p.Phase = PodPending
-	o.pending = append(o.pending, p)
+	o.enqueue(p)
 	o.Events.Record(Event{At: at, Type: EventRelaunch, Pod: p.Name})
 }
 
@@ -452,35 +479,31 @@ func (o *Orchestrator) runScheduler(now sim.Time) {
 	if o.ctlDown {
 		return
 	}
+	// With a harvest controller attached, harvested pods are its admission
+	// domain and never reach the cluster scheduler. With only those
+	// pending, the round needs no snapshot; the aggregator still tracks
+	// liveness as the snapshot would have.
 	if len(o.pending) == 0 {
+		if len(o.harvestQ) > 0 {
+			o.Agg.NoteLiveness(now)
+			o.om.queueDepth.Set(float64(len(o.harvestQ)))
+		}
 		return
 	}
 	snap := o.Agg.Snapshot(now)
 	// Priority ordering: higher first, FIFO within a class. The sort is
 	// stable so equal-priority pods keep arrival order. The queue copy is a
 	// per-orchestrator scratch slice: the scheduler may reorder it, but it is
-	// dead once Schedule returns. With a harvest controller attached,
-	// harvested pods are its admission domain and never reach the cluster
-	// scheduler.
-	queue := o.schedQueue[:0]
-	for _, p := range o.pending {
-		if o.harvest != nil && p.Harvested {
-			continue
-		}
-		queue = append(queue, p)
-	}
+	// dead once Schedule returns.
+	queue := append(o.schedQueue[:0], o.pending...)
 	o.schedQueue = queue
-	if len(queue) == 0 {
-		o.om.queueDepth.Set(float64(len(o.pending)))
-		return
-	}
 	slices.SortStableFunc(queue, func(a, b *Pod) int { return cmp.Compare(b.Priority, a.Priority) })
 	// Wall-clock latency is harness telemetry (sweep.Result.Wall convention):
 	// it never enters sim state, so determinism is unaffected.
 	start := time.Now()
 	decisions := o.Sched.Schedule(now, queue, snap)
 	o.om.decisionSeconds.Observe(time.Since(start).Seconds())
-	defer func() { o.om.queueDepth.Set(float64(len(o.pending))) }()
+	defer func() { o.om.queueDepth.Set(float64(o.PendingLen())) }()
 	if len(decisions) == 0 {
 		return
 	}

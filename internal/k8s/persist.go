@@ -6,11 +6,20 @@ import "sort"
 // the observable orchestrator state for snapshot digests. They expose
 // copies, never internal slices.
 
-// PendingPods returns the scheduling queue in its current order.
+// PendingPods returns the pending pods in queue order: the order they
+// entered the queue, across the scheduler's and the harvest controller's.
 func (o *Orchestrator) PendingPods() []*Pod {
-	out := make([]*Pod, len(o.pending))
-	copy(out, o.pending)
-	return out
+	out := make([]*Pod, 0, o.PendingLen())
+	a, b := o.pending, o.harvestQ
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].enq < b[0].enq {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // AllPods returns every pod reachable from the orchestrator's collections
@@ -28,7 +37,7 @@ func (o *Orchestrator) AllPods() []*Pod {
 			out = append(out, p)
 		}
 	}
-	for _, p := range o.pending {
+	for _, p := range o.PendingPods() {
 		add(p)
 	}
 	for _, p := range o.byContainer {

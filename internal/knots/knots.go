@@ -9,6 +9,7 @@ package knots
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"kubeknots/internal/cluster"
@@ -370,17 +371,7 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 	a.dead = a.dead[:0]
 	m := a.Monitor
 	cl := m.Cluster
-	if a.mem == nil {
-		a.mem = make([]memWindow, len(cl.GPUs()))
-		for i, g := range cl.GPUs() {
-			a.mem[i] = memWindow{agg: a, node: g.Node, id: m.memIDs[i]}
-		}
-		a.wasStale = make([]bool, len(m.dbs))
-		a.wasDead = make([]bool, len(m.dbs))
-		if a.met == nil {
-			a.met = newAggMetrics(&a.cells)
-		}
-	}
+	a.init()
 	a.gen++
 	a.at = now
 	a.vals = a.vals[:0]
@@ -395,9 +386,7 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 		}
 		// Liveness first: a crashed node (whose devices are also failed) must
 		// still be reported dead, not silently skipped.
-		age := a.age(node, now)
-		dead := a.DeadAfter > 0 && age > a.DeadAfter
-		stale := !dead && a.StaleAfter > 0 && age > a.StaleAfter
+		dead, stale := a.liveness(node, now)
 		if dead {
 			a.dead = append(a.dead, node)
 		} else {
@@ -406,22 +395,76 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 			a.met.nodeRebuilds.Inc()
 			stale = stale && len(a.stats) > n0
 		}
-		// Count liveness boundary crossings (fresh→stale among nodes with a
-		// live device, live→dead) once per transition. Pure telemetry: the
-		// snapshot itself is unchanged.
-		if dead && !a.wasDead[node] {
-			a.met.deadTransitions.Inc()
-		}
-		if stale && !a.wasStale[node] {
-			a.met.staleTransitions.Inc()
-		}
-		a.wasDead[node], a.wasStale[node] = dead, stale
+		a.noteTransitions(node, dead, stale)
 	}
 	snap := &Snapshot{At: now, Stats: a.stats}
 	if len(a.dead) > 0 {
 		snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
 	}
 	return snap
+}
+
+// NoteLiveness does the liveness bookkeeping of a Snapshot at now without
+// building one: it counts the same stale and dead transitions and leaves
+// the same state for the next snapshot. A caller that needs no snapshot at
+// an instant where it would otherwise take one calls it, so that the
+// transition counters do not depend on which rounds needed a view.
+func (a *Aggregator) NoteLiveness(now sim.Time) {
+	a.init()
+	m := a.Monitor
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for node := 0; node < m.Cluster.Cfg.Nodes; node++ {
+		gpus := m.Cluster.NodeGPUs(node)
+		if len(gpus) == 0 {
+			continue
+		}
+		dead, stale := a.liveness(node, now)
+		// A snapshot counts a stale node only if it holds a live device.
+		stale = stale && slices.ContainsFunc(gpus, func(g *cluster.GPU) bool { return !g.Failed() })
+		a.noteTransitions(node, dead, stale)
+	}
+}
+
+// init sizes the per-device windows and per-node liveness state on the
+// first snapshot.
+func (a *Aggregator) init() {
+	if a.mem != nil {
+		return
+	}
+	m := a.Monitor
+	a.mem = make([]memWindow, len(m.Cluster.GPUs()))
+	for i, g := range m.Cluster.GPUs() {
+		a.mem[i] = memWindow{agg: a, node: g.Node, id: m.memIDs[i]}
+	}
+	a.wasStale = make([]bool, len(m.dbs))
+	a.wasDead = make([]bool, len(m.dbs))
+	if a.met == nil {
+		a.met = newAggMetrics(&a.cells)
+	}
+}
+
+// liveness classifies a node at now: dead once silent past DeadAfter,
+// otherwise stale once silent past StaleAfter. The caller holds the
+// monitor's lock.
+func (a *Aggregator) liveness(node int, now sim.Time) (dead, stale bool) {
+	age := a.age(node, now)
+	dead = a.DeadAfter > 0 && age > a.DeadAfter
+	stale = !dead && a.StaleAfter > 0 && age > a.StaleAfter
+	return dead, stale
+}
+
+// noteTransitions counts liveness boundary crossings (fresh→stale among
+// nodes with a live device, live→dead) once per transition. Pure
+// telemetry: no snapshot depends on it.
+func (a *Aggregator) noteTransitions(node int, dead, stale bool) {
+	if dead && !a.wasDead[node] {
+		a.met.deadTransitions.Inc()
+	}
+	if stale && !a.wasStale[node] {
+		a.met.staleTransitions.Inc()
+	}
+	a.wasDead[node], a.wasStale[node] = dead, stale
 }
 
 // Cells returns the aggregator's instrument cells. The goroutine that

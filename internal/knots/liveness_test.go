@@ -1,7 +1,10 @@
 package knots
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/sim"
@@ -189,4 +192,54 @@ func TestLivenessTransitionsCountOnce(t *testing.T) {
 	advance(cl, mon, 2300*ms, 3000*ms)
 	agg.Snapshot(3000 * ms)
 	want("node 1 dead again", 2, 2)
+}
+
+// TestQuickNoteLivenessMatchesSnapshot drives two aggregators over one
+// monitor through random node silences, device failures and recoveries.
+// One takes a snapshot every heartbeat; the other, at random heartbeats,
+// only notes liveness. Their transition counters and liveness state must
+// agree after every heartbeat: a round that skips its snapshot changes no
+// counter.
+func TestQuickNoteLivenessMatchesSnapshot(t *testing.T) {
+	var noted, transitions float64
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cl, mon, ref := livenessRig(t)
+		cl.Cfg.Nodes++ // a node without devices never counts
+		agg := NewAggregator(mon)
+		agg.StaleAfter, agg.DeadAfter = ref.StaleAfter, ref.DeadAfter
+		for now := sim.Time(0); now < 5*sim.Second; now += 10 * sim.Millisecond {
+			switch g := cl.GPUs()[rng.Intn(len(cl.GPUs()))]; rng.Intn(40) {
+			case 0:
+				mon.SetNodeDown(rng.Intn(3), rng.Intn(2) == 0)
+			case 1:
+				g.Fail(now)
+			case 2:
+				g.Restore(now)
+			}
+			cl.Tick(now, 10*sim.Millisecond)
+			mon.Sample(now)
+			ref.Snapshot(now)
+			if rng.Intn(3) == 0 {
+				agg.Snapshot(now)
+			} else {
+				agg.NoteLiveness(now)
+				noted++
+			}
+			if agg.met.staleTransitions.Value() != ref.met.staleTransitions.Value() ||
+				agg.met.deadTransitions.Value() != ref.met.deadTransitions.Value() ||
+				!slices.Equal(agg.wasStale, ref.wasStale) || !slices.Equal(agg.wasDead, ref.wasDead) {
+				t.Logf("seed %d at %v: noted liveness diverged from snapshots", seed, now)
+				return false
+			}
+		}
+		transitions += ref.met.staleTransitions.Value() + ref.met.deadTransitions.Value()
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if noted == 0 || transitions == 0 {
+		t.Fatalf("vacuous: %v heartbeats noted liveness, %v transitions", noted, transitions)
+	}
 }

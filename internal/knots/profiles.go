@@ -40,7 +40,8 @@ const ProfileStep = 100 * sim.Millisecond
 const upcomingPoints = 50
 
 // Profiler accumulates per-image usage statistics from container samples.
-// It is safe for concurrent use.
+// It is safe for concurrent use. A nil *Profiler records nothing, so an
+// orchestrator whose profiles nobody reads carries none and pays nothing.
 type Profiler struct {
 	mu sync.Mutex
 	// runs holds the live runs, one per resident container. A relaunch
@@ -134,6 +135,9 @@ func (r *profileRun) record(now sim.Time, memMB, smPct float64) {
 // Complete folds a finished container's run into its image aggregate.
 // Crashed runs may be folded too — their partial history is still signal.
 func (p *Profiler) Complete(c *cluster.Container) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r := p.runs[c]
@@ -227,6 +231,9 @@ func (p *Profiler) Images() []string {
 // run is due a sample: at a 10 ms heartbeat, nine in ten containers cost a
 // map lookup and a compare.
 func (p *Profiler) SampleContainers(now sim.Time, cl *cluster.Cluster) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, g := range cl.GPUs() {

@@ -184,6 +184,7 @@ func TestProfilerMatchesPerContainerReference(t *testing.T) {
 	ccfg.Nodes = 2
 	cl := cluster.New(ccfg)
 	o := k8s.NewOrchestrator(eng, cl, firstFit{}, k8s.Config{EventCapacity: 1 << 16})
+	o.Profiler = knots.NewProfiler()
 	hctl := harvest.New(o, harvest.Config{
 		Enabled:        true,
 		Watermark:      0.15,

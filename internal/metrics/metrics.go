@@ -17,6 +17,11 @@ import (
 // were provided.
 var ErrInsufficientData = errors.New("metrics: insufficient data")
 
+// errZeroVariance is returned when a statistic divides by a series'
+// variance and the series is flat. It is one value, so that a flat window
+// on every forecast does not allocate an error.
+var errZeroVariance = errors.New("metrics: zero variance")
+
 // Mean returns the arithmetic mean of xs, or 0 if xs is empty.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -167,7 +172,7 @@ func Pearson(x, y []float64) (float64, error) {
 		syy += dy * dy
 	}
 	if sxx == 0 || syy == 0 {
-		return 0, errors.New("metrics: zero variance")
+		return 0, errZeroVariance
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
 }
@@ -282,7 +287,7 @@ func AutoCorrelation(y []float64, k int) (float64, error) {
 		den += d * d
 	}
 	if den == 0 {
-		return 0, errors.New("metrics: zero variance")
+		return 0, errZeroVariance
 	}
 	for i := 0; i+k < n; i++ {
 		num += (y[i] - m) * (y[i+k] - m)

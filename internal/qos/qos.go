@@ -5,7 +5,8 @@
 package qos
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"kubeknots/internal/sim"
 )
@@ -19,6 +20,12 @@ type Tracker struct {
 	SLO        sim.Time
 	latencies  []sim.Time
 	violations int
+	// sorted holds the first len(sorted) latencies in ascending order;
+	// Percentile merges the rest in when it is next called. Readers may
+	// call Percentile concurrently (the apiserver rebuilds its read view
+	// under a shared lock), so mu guards sorted.
+	mu     sync.Mutex
+	sorted []sim.Time
 }
 
 // Record accounts one completed query's end-to-end latency.
@@ -88,13 +95,18 @@ func (t *Tracker) RecentViolations(n int) int {
 	return count
 }
 
-// Percentile returns the p-th percentile latency.
+// Percentile returns the p-th percentile latency. It sorts only the
+// latencies recorded since its last call and merges them into the sorted
+// copy it keeps, so a caller polling a growing tracker pays for the new
+// queries, not the whole history.
 func (t *Tracker) Percentile(p float64) sim.Time {
 	if len(t.latencies) == 0 {
 		return 0
 	}
-	sorted := append([]sim.Time(nil), t.latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.mergeSorted()
+	sorted := t.sorted
 	if p < 0 {
 		p = 0
 	}
@@ -115,4 +127,33 @@ func (t *Tracker) Mean() sim.Time {
 		sum += l
 	}
 	return sum / sim.Time(len(t.latencies))
+}
+
+// mergeSorted brings t.sorted up to date with t.latencies: it sorts the new
+// tail and merges it into the sorted prefix from the back, in place. The
+// caller holds mu.
+func (t *Tracker) mergeSorted() {
+	n, m := len(t.sorted), len(t.latencies)
+	if n == m {
+		return
+	}
+	t.sorted = append(t.sorted, t.latencies[n:]...)
+	fresh := t.sorted[n:]
+	slices.Sort(fresh)
+	if n == 0 || t.sorted[n-1] <= fresh[0] {
+		return
+	}
+	// Merge from the back. The merge writes over the slots fresh occupies,
+	// so it reads fresh from a copy.
+	fresh = append([]sim.Time(nil), fresh...)
+	i, j := n-1, len(fresh)-1
+	for k := m - 1; j >= 0; k-- {
+		if i >= 0 && t.sorted[i] > fresh[j] {
+			t.sorted[k] = t.sorted[i]
+			i--
+		} else {
+			t.sorted[k] = fresh[j]
+			j--
+		}
+	}
 }

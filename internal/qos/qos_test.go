@@ -1,7 +1,11 @@
 package qos
 
 import (
+	"math/rand"
+	"sort"
+	"sync"
 	"testing"
+	"testing/quick"
 
 	"kubeknots/internal/sim"
 )
@@ -72,5 +76,68 @@ func TestPercentileAndMean(t *testing.T) {
 	var empty Tracker
 	if empty.Percentile(50) != 0 || empty.Mean() != 0 {
 		t.Fatal("empty tracker percentile/mean should be 0")
+	}
+}
+
+// TestQuickPercentileMergeMatchesSort interleaves Record and Percentile
+// calls: every percentile of the merged sorted copy equals the one a fresh
+// sort of all recorded latencies gives.
+func TestQuickPercentileMergeMatchesSort(t *testing.T) {
+	merged := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var tr Tracker
+		var all []sim.Time
+		for round := 0; round < 1+rng.Intn(8); round++ {
+			for i, n := 0, rng.Intn(20); i < n; i++ {
+				l := sim.Time(rng.Intn(300)) * sim.Millisecond
+				tr.Record(l)
+				all = append(all, l)
+			}
+			if len(all) == 0 {
+				continue
+			}
+			ref := append([]sim.Time(nil), all...)
+			sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+			for _, p := range []float64{0, 50, 90, 99, 100} {
+				if got, want := tr.Percentile(p), ref[int(p/100*float64(len(ref)-1))]; got != want {
+					t.Logf("seed %d: p%v = %v, want %v", seed, p, got, want)
+					return false
+				}
+			}
+			merged++
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if merged == 0 {
+		t.Fatal("vacuous: no percentile was read")
+	}
+}
+
+// TestPercentileConcurrentReaders calls Percentile from several goroutines
+// at once, as concurrent apiserver readers rebuilding their view do; run it
+// with -race.
+func TestPercentileConcurrentReaders(t *testing.T) {
+	var tr Tracker
+	for i := 100; i > 0; i-- {
+		tr.Record(sim.Time(i) * sim.Millisecond)
+	}
+	var wg sync.WaitGroup
+	got := make([]sim.Time, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = tr.Percentile(50)
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != 50*sim.Millisecond {
+			t.Fatalf("reader %d: p50 = %v, want 50ms", i, g)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"kubeknots/internal/cluster"
 	"kubeknots/internal/forecast"
 	"kubeknots/internal/k8s"
 	"kubeknots/internal/knots"
@@ -47,11 +48,11 @@ func WatermarkLoad(st *knots.GPUStat) float64 {
 }
 
 // Admit evaluates one device for one harvested pod. load is the device's
-// WatermarkLoad at this tick. committedMB is memory this control tick
-// already committed to the device (the window cannot see pods bound moments
-// ago). The returned outcome is the decision-trace verdict; ok is true only
-// for obs.OutcomeHarvested.
-func (g *HarvestGate) Admit(st *knots.GPUStat, load, peakSM, reserveMB, committedMB float64) (ok bool, outcome string) {
+// WatermarkLoad at this tick and smCap its SMCap. committedMB is memory this
+// control tick already committed to the device (the window cannot see pods
+// bound moments ago). The returned outcome is the decision-trace verdict; ok
+// is true only for obs.OutcomeHarvested.
+func (g *HarvestGate) Admit(st *knots.GPUStat, load, smCap, peakSM, reserveMB, committedMB float64) (ok bool, outcome string) {
 	switch {
 	case st.Stale:
 		// A silent node's window is rotten: its live load is unknowable, so
@@ -59,7 +60,7 @@ func (g *HarvestGate) Admit(st *knots.GPUStat, load, peakSM, reserveMB, committe
 		return false, obs.RejectHarvestStale
 	case st.FreeReservableMB-committedMB < reserveMB:
 		return false, obs.RejectFreeMem
-	case g.SMCeiling > 0 && st.Obs.SMPct+peakSM > g.smCap(st):
+	case g.SMCeiling > 0 && st.Obs.SMPct+peakSM > smCap:
 		return false, obs.RejectSMCap
 	case load+committedMB+reserveMB > g.Headroom*st.GPU.MemCapMB:
 		return false, obs.RejectHarvestHeadroom
@@ -67,19 +68,26 @@ func (g *HarvestGate) Admit(st *knots.GPUStat, load, peakSM, reserveMB, committe
 	return true, obs.OutcomeHarvested
 }
 
-// smCap returns the SM ceiling for one device. Devices hosting
-// latency-critical work are never oversubscribed: the device serializes
-// co-resident kernels once combined demand passes 100%, stretching the LC
-// queries with the batch work, so harvesting onto them is capped at full
-// occupancy rather than the batch co-location ceiling.
-func (g *HarvestGate) smCap(st *knots.GPUStat) float64 {
-	for _, c := range st.Resident {
-		if c.Class == workloads.LatencyCritical {
-			if g.SMCeiling < 100 {
-				return g.SMCeiling
-			}
-			return 100
-		}
+// SMCap returns the SM ceiling for a device; hostsLC reports whether it
+// hosts latency-critical work (HostsLC of its residents). Such devices are
+// never oversubscribed: the device serializes co-resident kernels once
+// combined demand passes 100%, stretching the LC queries with the batch
+// work, so harvesting onto them is capped at full occupancy rather than the
+// batch co-location ceiling.
+func (g *HarvestGate) SMCap(hostsLC bool) float64 {
+	if hostsLC && !(g.SMCeiling < 100) {
+		return 100
 	}
 	return g.SMCeiling
+}
+
+// HostsLC reports whether any of a device's resident containers is
+// latency-critical.
+func HostsLC(resident []*cluster.Container) bool {
+	for _, c := range resident {
+		if c.Class == workloads.LatencyCritical {
+			return true
+		}
+	}
+	return false
 }

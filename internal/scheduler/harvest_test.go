@@ -25,8 +25,23 @@ func inlineLoad(st *knots.GPUStat) float64 {
 	return load
 }
 
-// forecastThenAdmit is the gate as it was before it took the tick's load:
-// it forecast the device again for every pod, then admitted.
+// residentSMCap is the SM ceiling as the gate once derived it for every pod
+// and device, from the device's residents.
+func residentSMCap(g *HarvestGate, st *knots.GPUStat) float64 {
+	for _, c := range st.Resident {
+		if c.Class == workloads.LatencyCritical {
+			if g.SMCeiling < 100 {
+				return g.SMCeiling
+			}
+			return 100
+		}
+	}
+	return g.SMCeiling
+}
+
+// forecastThenAdmit is the gate as it was before it took the tick's load
+// and SM ceiling: it forecast the device again and derived the ceiling from
+// the residents for every pod, then admitted.
 func forecastThenAdmit(g *HarvestGate, st *knots.GPUStat, peakSM, reserveMB, committedMB float64) (ok bool, outcome string) {
 	load := inlineLoad(st)
 	switch {
@@ -34,7 +49,7 @@ func forecastThenAdmit(g *HarvestGate, st *knots.GPUStat, peakSM, reserveMB, com
 		return false, obs.RejectHarvestStale
 	case st.FreeReservableMB-committedMB < reserveMB:
 		return false, obs.RejectFreeMem
-	case g.SMCeiling > 0 && st.Obs.SMPct+peakSM > g.smCap(st):
+	case g.SMCeiling > 0 && st.Obs.SMPct+peakSM > residentSMCap(g, st):
 		return false, obs.RejectSMCap
 	case load+committedMB+reserveMB > g.Headroom*st.GPU.MemCapMB:
 		return false, obs.RejectHarvestHeadroom
@@ -75,8 +90,9 @@ func randomSeries(rng *rand.Rand, capMB float64) (series []float64, shape int) {
 // device stats — short, trending, alternating, flat and noisy windows,
 // stale devices, latency-critical residents — and random gates and pods:
 // WatermarkLoad equals the load the tick computed inline (and published as
-// NodeState.ForecastMB), and Admit given that load returns what forecasting
-// again inside the gate did.
+// NodeState.ForecastMB), and Admit given that load and the device's SMCap
+// returns what forecasting again, and deriving the ceiling from the
+// residents, inside the gate did.
 func TestWatermarkLoadAdmitMatchesForecastThenAdmit(t *testing.T) {
 	var shapes [5]int
 	var forecastWon, stale, lcCapped int
@@ -111,7 +127,7 @@ func TestWatermarkLoadAdmitMatchesForecastThenAdmit(t *testing.T) {
 
 		load := WatermarkLoad(st)
 		wantOK, wantOut := forecastThenAdmit(gate, st, peakSM, reserve, committed)
-		ok, out := gate.Admit(st, load, peakSM, reserve, committed)
+		ok, out := gate.Admit(st, load, gate.SMCap(HostsLC(st.Resident)), peakSM, reserve, committed)
 		if math.Float64bits(load) != math.Float64bits(inlineLoad(st)) || ok != wantOK || out != wantOut {
 			t.Logf("seed %d: load %v (inline %v), admit (%v, %s), want (%v, %s)",
 				seed, load, inlineLoad(st), ok, out, wantOK, wantOut)
@@ -124,7 +140,7 @@ func TestWatermarkLoadAdmitMatchesForecastThenAdmit(t *testing.T) {
 		if st.Stale {
 			stale++
 		}
-		if out == obs.RejectSMCap && gate.smCap(st) < gate.SMCeiling {
+		if out == obs.RejectSMCap && residentSMCap(gate, st) < gate.SMCeiling {
 			lcCapped++
 		}
 		return true

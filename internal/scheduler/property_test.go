@@ -3,6 +3,8 @@ package scheduler
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -273,5 +275,39 @@ func TestQuickForecastAdmitRespectsCapacity(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickCandidateOrderMatchesSortSlice checks the round's candidate order
+// against the sort.Slice it replaced, on random snapshots whose devices tie
+// on planned free memory: less is a strict total order, so both sorts must
+// agree.
+func TestQuickCandidateOrderMatchesSortSlice(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 12
+	ties := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		snap := randomSnapshot(rng, cluster.New(cfg))
+		for i := range snap.Stats {
+			if rng.Intn(2) == 0 {
+				snap.Stats[i].FreeReservableMB = float64(1000 * rng.Intn(3))
+				ties++
+			}
+		}
+		var pl planner
+		pl.reset(snap)
+		want := make([]int, len(snap.Stats))
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool { return pl.less(want[a], want[b]) })
+		return slices.Equal(pl.candidateOrder(), want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if ties == 0 {
+		t.Fatal("vacuous: no device tied on free memory")
 	}
 }

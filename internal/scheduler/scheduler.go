@@ -262,7 +262,16 @@ func (p *planner) candidateOrder() []int {
 		for i := range p.stats {
 			p.order = append(p.order, i)
 		}
-		sort.Slice(p.order, func(a, b int) bool { return p.less(p.order[a], p.order[b]) })
+		// less is a strict total order, so any sort yields the same order.
+		slices.SortFunc(p.order, func(a, b int) int {
+			switch {
+			case a == b:
+				return 0
+			case p.less(a, b):
+				return -1
+			}
+			return 1
+		})
 	}
 	return p.order
 }

@@ -17,9 +17,11 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"kubeknots/internal/sim"
 )
@@ -51,7 +53,11 @@ type Phase struct {
 	RxMBps   float64 // device→host PCIe bandwidth
 }
 
-// Profile is a phase-structured GPU resource profile.
+// Profile is a phase-structured GPU resource profile. A profile does not
+// change once it is first used: its derived constants (duration, peaks,
+// phase boundaries, memory percentiles) are computed on the first read and
+// kept. Profiles are shared across concurrent runs, so that first
+// computation is guarded by a sync.Once.
 type Profile struct {
 	Name   string
 	Class  Class
@@ -60,67 +66,80 @@ type Profile struct {
 	// overstate their needs to provision for the worst case (the paper's
 	// Observation 2), so this typically exceeds PeakMemMB by 1.5–3×.
 	RequestMemMB float64
+
+	once sync.Once
+	d    derived
+}
+
+// derived holds the constants a profile's phases determine.
+type derived struct {
+	duration  sim.Time
+	peakMemMB float64
+	peakSMPct float64
+	// ends[i] is the nominal progress at which phase i ends.
+	ends []sim.Time
+	// slabs holds the phases' memory levels in ascending order, each with
+	// the duration accumulated up to and including it.
+	slabs []memSlab
+}
+
+type memSlab struct {
+	mem float64
+	acc sim.Time
+}
+
+func (p *Profile) derived() *derived {
+	p.once.Do(func() {
+		d := &p.d
+		d.ends = make([]sim.Time, len(p.Phases))
+		d.slabs = make([]memSlab, len(p.Phases))
+		for i, ph := range p.Phases {
+			d.duration += ph.Duration
+			d.ends[i] = d.duration
+			if ph.MemMB > d.peakMemMB {
+				d.peakMemMB = ph.MemMB
+			}
+			if ph.SMPct > d.peakSMPct {
+				d.peakSMPct = ph.SMPct
+			}
+			d.slabs[i] = memSlab{ph.MemMB, ph.Duration} // acc: own duration, summed below
+		}
+		// Equal memory levels are interchangeable, so an unstable sort
+		// yields the same percentiles. slices.SortFunc, unlike sort.Slice,
+		// allocates nothing, and profiles are built per pod in some runs.
+		slices.SortFunc(d.slabs, func(a, b memSlab) int { return cmp.Compare(a.mem, b.mem) })
+		for i := 1; i < len(d.slabs); i++ {
+			d.slabs[i].acc += d.slabs[i-1].acc
+		}
+	})
+	return &p.d
 }
 
 // Duration returns the nominal (uncontended) runtime.
-func (p *Profile) Duration() sim.Time {
-	var d sim.Time
-	for _, ph := range p.Phases {
-		d += ph.Duration
-	}
-	return d
-}
+func (p *Profile) Duration() sim.Time { return p.derived().duration }
 
 // PeakMemMB returns the maximum memory demand across phases — what a
 // worst-case (static) provisioner reserves.
-func (p *Profile) PeakMemMB() float64 {
-	m := 0.0
-	for _, ph := range p.Phases {
-		if ph.MemMB > m {
-			m = ph.MemMB
-		}
-	}
-	return m
-}
+func (p *Profile) PeakMemMB() float64 { return p.derived().peakMemMB }
 
 // PeakSMPct returns the maximum SM demand across phases.
-func (p *Profile) PeakSMPct() float64 {
-	m := 0.0
-	for _, ph := range p.Phases {
-		if ph.SMPct > m {
-			m = ph.SMPct
-		}
-	}
-	return m
-}
+func (p *Profile) PeakSMPct() float64 { return p.derived().peakSMPct }
 
 // MemPercentileMB returns the time-weighted pct-th percentile of memory
 // demand — CBP resizes pods to the 80th percentile (Section IV-C) because
 // co-located pods almost never peak simultaneously.
 func (p *Profile) MemPercentileMB(pct float64) float64 {
-	type slab struct {
-		mem float64
-		dur sim.Time
-	}
-	slabs := make([]slab, 0, len(p.Phases))
-	var total sim.Time
-	for _, ph := range p.Phases {
-		slabs = append(slabs, slab{ph.MemMB, ph.Duration})
-		total += ph.Duration
-	}
-	if total == 0 {
+	d := p.derived()
+	if d.duration == 0 {
 		return 0
 	}
-	sort.Slice(slabs, func(i, j int) bool { return slabs[i].mem < slabs[j].mem })
-	threshold := sim.Time(float64(total) * pct / 100)
-	var acc sim.Time
-	for _, s := range slabs {
-		acc += s.dur
-		if acc >= threshold {
+	threshold := sim.Time(float64(d.duration) * pct / 100)
+	for _, s := range d.slabs {
+		if s.acc >= threshold {
 			return s.mem
 		}
 	}
-	return slabs[len(slabs)-1].mem
+	return d.slabs[len(d.slabs)-1].mem
 }
 
 // MemSeries samples the profile's memory demand at the given step over one
@@ -152,11 +171,10 @@ func (p *Profile) series(step sim.Time, f func(Phase) float64) []float64 {
 
 // phaseAt returns the phase active at progress t (clamped to the last phase).
 func (p *Profile) phaseAt(t sim.Time) Phase {
-	var acc sim.Time
-	for _, ph := range p.Phases {
-		acc += ph.Duration
-		if t < acc {
-			return ph
+	ends := p.derived().ends
+	for i, end := range ends {
+		if t < end {
+			return p.Phases[i]
 		}
 	}
 	return p.Phases[len(p.Phases)-1]
@@ -178,6 +196,14 @@ type Instance struct {
 	durScale float64
 	memScale float64
 	progress sim.Time
+	// end is the scaled duration Done compares progress with.
+	end sim.Time
+	// ends holds the profile's phase ends, and phase the index of the
+	// phase active at progress cursorAt. Progress never decreases, so the
+	// cursor only moves forward.
+	ends     []sim.Time
+	phase    int
+	cursorAt sim.Time
 }
 
 // NewInstance creates an instance with ±10 % duration and ±5 % memory jitter
@@ -188,12 +214,30 @@ func (p *Profile) NewInstance(rng *rand.Rand) *Instance {
 		in.durScale = 0.9 + rng.Float64()*0.2
 		in.memScale = 0.95 + rng.Float64()*0.1
 	}
+	in.end = sim.Time(float64(p.Duration()) * in.durScale)
+	in.ends = p.derived().ends
+	in.cursorAt = -1 // no progress yet read
 	return in
+}
+
+// current returns the phase active at the instance's nominal progress
+// (clamped to the last phase), moving the cursor forward to it. A second
+// read at the same progress — Advance right after Demand in one cluster
+// tick — reuses the cursor as it is.
+func (in *Instance) current() *Phase {
+	if in.cursorAt != in.progress {
+		in.cursorAt = in.progress
+		t := in.nominalProgress()
+		for last := len(in.ends) - 1; in.phase < last && t >= in.ends[in.phase]; {
+			in.phase++
+		}
+	}
+	return &in.Profile.Phases[in.phase]
 }
 
 // Demand returns the instance's current resource demand.
 func (in *Instance) Demand() Demand {
-	ph := in.Profile.phaseAt(in.nominalProgress())
+	ph := in.current()
 	return Demand{
 		SMPct:  ph.SMPct,
 		MemMB:  ph.MemMB * in.memScale,
@@ -218,8 +262,7 @@ func (in *Instance) Advance(dt sim.Time, smShare float64) {
 	if smShare > 10 {
 		smShare = 10 // guard absurd speed factors
 	}
-	ph := in.Profile.phaseAt(in.nominalProgress())
-	if ph.SMPct == 0 && smShare < 1 {
+	if in.current().SMPct == 0 && smShare < 1 {
 		smShare = 1
 	}
 	in.progress += sim.Time(float64(dt) * smShare)
@@ -232,18 +275,10 @@ func (in *Instance) Advance(dt sim.Time, smShare float64) {
 func (in *Instance) Progress() sim.Time { return in.progress }
 
 // Done reports whether the instance has completed its scaled duration.
-func (in *Instance) Done() bool {
-	return in.progress >= sim.Time(float64(in.Profile.Duration())*in.durScale)
-}
+func (in *Instance) Done() bool { return in.progress >= in.end }
 
 // Remaining returns the wall time still needed at full SM share.
-func (in *Instance) Remaining() sim.Time {
-	r := sim.Time(float64(in.Profile.Duration())*in.durScale) - in.progress
-	if r < 0 {
-		return 0
-	}
-	return r
-}
+func (in *Instance) Remaining() sim.Time { return max(in.end-in.progress, 0) }
 
 // PeakMemMB returns the instance's scaled peak memory demand.
 func (in *Instance) PeakMemMB() float64 { return in.Profile.PeakMemMB() * in.memScale }

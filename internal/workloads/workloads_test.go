@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -346,5 +348,144 @@ func TestLevelString(t *testing.T) {
 	}
 	if Batch.String() != "batch" || LatencyCritical.String() != "latency-critical" {
 		t.Fatal("Class strings wrong")
+	}
+}
+
+// refPercentile is MemPercentileMB as it was before profiles kept their
+// sorted memory levels: copy the phases, sort them, walk the durations.
+func refPercentile(p *Profile, pct float64) float64 {
+	type slab struct {
+		mem float64
+		dur sim.Time
+	}
+	var slabs []slab
+	var total sim.Time
+	for _, ph := range p.Phases {
+		slabs = append(slabs, slab{ph.MemMB, ph.Duration})
+		total += ph.Duration
+	}
+	if total == 0 {
+		return 0
+	}
+	sort.Slice(slabs, func(i, j int) bool { return slabs[i].mem < slabs[j].mem })
+	threshold := sim.Time(float64(total) * pct / 100)
+	var acc sim.Time
+	for _, s := range slabs {
+		acc += s.dur
+		if acc >= threshold {
+			return s.mem
+		}
+	}
+	return slabs[len(slabs)-1].mem
+}
+
+// refPhase is the phase scan Instance used before it kept a cursor.
+func refPhase(p *Profile, t sim.Time) Phase {
+	var acc sim.Time
+	for _, ph := range p.Phases {
+		acc += ph.Duration
+		if t < acc {
+			return ph
+		}
+	}
+	return p.Phases[len(p.Phases)-1]
+}
+
+// randomProfile draws a profile whose memory levels repeat, so percentile
+// ties occur, with some phases that demand no SM.
+func randomProfile(rng *rand.Rand) *Profile {
+	p := &Profile{Name: "random", Class: Batch}
+	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+		p.Phases = append(p.Phases, Phase{
+			Duration: sim.Time(1+rng.Intn(40)) * 50 * sim.Millisecond,
+			SMPct:    float64(rng.Intn(4) * 30),
+			MemMB:    float64(100 * (1 + rng.Intn(5))),
+			TxMBps:   float64(rng.Intn(3) * 500),
+		})
+	}
+	return p
+}
+
+// TestQuickDerivedMatchesScans checks a profile's kept constants and an
+// instance's phase cursor against the per-call scans they replaced: the
+// same duration, peaks and percentiles, and, step by step through a run
+// with random SM shares, the same demand, progress and completion.
+func TestQuickDerivedMatchesScans(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomProfile(rng)
+		var dur sim.Time
+		var peakMem, peakSM float64
+		for _, ph := range p.Phases {
+			dur += ph.Duration
+			peakMem, peakSM = max(peakMem, ph.MemMB), max(peakSM, ph.SMPct)
+		}
+		if p.Duration() != dur || p.PeakMemMB() != peakMem || p.PeakSMPct() != peakSM {
+			return false
+		}
+		for _, pct := range []float64{0, 1, 50, 80, 95, 100, rng.Float64() * 100} {
+			if p.MemPercentileMB(pct) != refPercentile(p, pct) {
+				t.Logf("seed %d: p%v = %v, want %v", seed, pct, p.MemPercentileMB(pct), refPercentile(p, pct))
+				return false
+			}
+		}
+		in := p.NewInstance(rng)
+		end := sim.Time(float64(dur) * in.durScale)
+		var progress sim.Time
+		for step := 0; step < 400 && progress < end; step++ {
+			ph := refPhase(p, sim.Time(float64(progress)/in.durScale))
+			d := in.Demand()
+			if d.SMPct != ph.SMPct || d.MemMB != ph.MemMB*in.memScale || d.TxMBps != ph.TxMBps {
+				t.Logf("seed %d step %d: demand %+v, want phase %+v", seed, step, d, ph)
+				return false
+			}
+			share := rng.Float64() * 1.5
+			dt := sim.Time(1+rng.Intn(20)) * 10 * sim.Millisecond
+			in.Advance(dt, share)
+			if share <= 0 {
+				share = 0.01
+			}
+			if ph.SMPct == 0 && share < 1 {
+				share = 1
+			}
+			progress += sim.Time(float64(dt) * share)
+			if in.Progress() != progress || in.Done() != (progress >= end) || in.Remaining() != max(end-progress, 0) {
+				t.Logf("seed %d step %d: progress %v done %v, want %v %v", seed, step, in.Progress(), in.Done(), progress, progress >= end)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProfileDerivedConcurrentFirstUse reads a fresh profile's constants
+// from several goroutines at once, as parallel runs share the Rodinia
+// profiles; run it with -race.
+func TestProfileDerivedConcurrentFirstUse(t *testing.T) {
+	p := randomProfile(rand.New(rand.NewSource(3)))
+	want := [3]float64{refPercentile(p, 80), 0, 0}
+	for _, ph := range p.Phases {
+		want[1] = max(want[1], ph.MemMB)
+		want[2] += float64(ph.Duration)
+	}
+	var wg sync.WaitGroup
+	got := make([][3]float64, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			in := p.NewInstance(nil)
+			in.Advance(10*sim.Millisecond, 1)
+			got[i] = [3]float64{p.MemPercentileMB(80), p.PeakMemMB(), float64(p.Duration())}
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Fatalf("goroutine %d read %v, want %v", i, g, want)
+		}
 	}
 }
